@@ -25,10 +25,13 @@
 #      clients; regenerates BENCH_serve.json and fails on pass-to-pass
 #      nondeterminism, counter drift, dead admission control, a cold
 #      answer cache, or steady throughput below 520 qps)
-#  12. the durability smoke benchmark (real files + fsync; regenerates
-#      BENCH_wal.json and fails on a group-commit breakdown, an inexact
-#      replay, lost or mangled objects after recovery, or a checkpoint
-#      that fails to truncate the replay work)
+#  12. the durability smoke benchmark (real files + fsync; insert bursts
+#      then replace bursts that delete seed objects, so recovery replays
+#      deletes too; regenerates BENCH_wal.json and fails on a group-commit
+#      breakdown, an inexact replay, lost, mangled or revived objects after
+#      recovery, a checkpoint that fails to truncate the replay work, or
+#      deletes reading more than 10% of a shard's index pages per deleted
+#      segment — a node-read count, not a timing)
 #  13. the replication smoke benchmark (a live primary/replica pair over
 #      loopback TCP; regenerates BENCH_repl.json and fails on a p99
 #      replication lag over the gate, a catch-up that does not converge
@@ -92,7 +95,7 @@ gate "server smoke (TCP loopback, malformed frame, stats, drain)" \
 gate "serving smoke bench (BENCH_serve.json, >= 520 qps steady)" \
     cargo run --release -q -p mst-bench --bin serve -- --smoke --min-qps 520
 
-gate "durability smoke bench (BENCH_wal.json, fsynced group commit + recovery)" \
+gate "durability smoke bench (BENCH_wal.json, fsynced group commit, delete reads + recovery)" \
     cargo run --release -q -p mst-bench --bin wal -- --smoke
 
 gate "replication smoke bench (BENCH_repl.json, max-lag + failover gates)" \

@@ -273,14 +273,21 @@ pub fn bfmst_search_source<S: CandidateSource, M: QueryMetrics, B: BoundShare>(
             if window.is_instant() {
                 continue;
             }
-            report.entries_matched += 1;
             let cand = match valid.entry(e.traj) {
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
+                    // Only trajectories covering the whole period qualify,
+                    // as in the linear scan. One that does not can never
+                    // complete, and its PESDISSIM must not tighten τ.
+                    if !store.get(e.traj).is_some_and(|t| t.covers(period)) {
+                        rejected.insert(e.traj);
+                        continue;
+                    }
                     metrics.candidate_seen();
                     v.insert(Candidate::new(e.traj, merge_eps))
                 }
             };
+            report.entries_matched += 1;
             match_entry(q, &e.segment, &window, config.integration, cand, metrics)?;
 
             if cand.is_complete(period) {
@@ -340,7 +347,7 @@ pub fn bfmst_search_source<S: CandidateSource, M: QueryMetrics, B: BoundShare>(
 
     report.nodes_visited = source.nodes_visited();
     report.leaves_visited = source.leaves_visited();
-    report.candidates_seen = completed.len() + valid.len() + rejected.len();
+    report.candidates_seen = completed.len() + valid.len() + report.candidates_rejected;
     metrics.candidates_pending(valid.len() as u64);
     report.matches = finalize(
         store,

@@ -328,9 +328,12 @@ impl<I: TrajectoryIndexWrite> ShardedDatabase<I> {
     }
 
     /// Deletes a trajectory and all its segment entries from its home
-    /// shard. Unknown ids report `applied: false` without touching
-    /// anything; substrates without point deletes (TB-tree, STR-tree)
-    /// surface the index's typed error.
+    /// shard. Each entry is rebuilt from the stored trajectory, so the
+    /// index finds it by its box. Unknown ids report `applied: false`
+    /// without touching anything; substrates without point deletes
+    /// (TB-tree, STR-tree) surface the index's typed error. A segment the
+    /// store holds but the index does not fails the delete with
+    /// [`IndexError::MissingEntry`] before the store is touched.
     fn ingest_delete(&self, id: TrajectoryId) -> Result<IngestOutcome> {
         let shard = &self.shards[shard_index(id, self.shards.len())];
         let mut store = write_store(shard)?;
@@ -340,12 +343,19 @@ impl<I: TrajectoryIndexWrite> ShardedDatabase<I> {
                 generation: shard.index.generation(),
             });
         };
-        let num_segments = existing.num_segments();
         let ((), generation) = shard
             .index
             .apply(|index| {
-                for seq in 0..num_segments {
-                    index.delete_entry(id, seq as u32)?;
+                for (seq, segment) in existing.segments().enumerate() {
+                    let seq = seq as u32;
+                    let entry = LeafEntry {
+                        traj: id,
+                        seq,
+                        segment,
+                    };
+                    if !index.delete_entry(&entry)? {
+                        return Err(IndexError::MissingEntry { traj: id, seq });
+                    }
                 }
                 Ok(())
             })
@@ -621,6 +631,43 @@ mod tests {
         // Deleting an unknown id is a no-op, not an error.
         let outcome = db.apply_op(&IngestOp::Delete { id }).unwrap();
         assert!(!outcome.applied);
+    }
+
+    #[test]
+    fn ingest_delete_of_a_segment_missing_from_the_index_is_a_typed_error() {
+        // The store holds T0 with 4 segments; the index lacks segment 2.
+        let (id, t) = traj(0, 0.0, 5);
+        let mut index = Rtree3D::new();
+        for (seq, segment) in t.segments().enumerate().filter(|(seq, _)| *seq != 2) {
+            index
+                .insert(LeafEntry {
+                    traj: id,
+                    seq: seq as u32,
+                    segment,
+                })
+                .unwrap();
+        }
+        let store = TrajectoryStore::from_trajectories(vec![t]);
+        let db = ShardedDatabase::from_shard_parts(vec![(index, store)]).unwrap();
+        let err = db
+            .apply_op(&IngestOp::Delete { id })
+            .expect_err("the index lost a segment");
+        assert!(
+            matches!(
+                err,
+                ExecError::Search(mst_search::SearchError::Index(IndexError::MissingEntry {
+                    traj,
+                    seq: 2,
+                })) if traj == id
+            ),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("segment 2 of trajectory T0"),
+            "{err}"
+        );
+        // The store was not touched.
+        assert!(db.trajectory(id).is_some());
     }
 
     #[test]

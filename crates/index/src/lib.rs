@@ -119,6 +119,14 @@ pub enum IndexError {
     },
     /// The segment being inserted was invalid for this index.
     BadInsert(String),
+    /// A delete named a segment entry the index does not hold: the index
+    /// and the trajectory store it mirrors have drifted apart.
+    MissingEntry {
+        /// The trajectory the entry belongs to.
+        traj: mst_trajectory::TrajectoryId,
+        /// The entry's sequence number within the trajectory.
+        seq: u32,
+    },
     /// A persistence operation failed (I/O error or malformed image).
     Persist(String),
     /// The buffer manager detected an accounting violation (pinned-page
@@ -152,6 +160,9 @@ impl std::fmt::Display for IndexError {
                 write!(f, "corrupt node in page {page:?}: {reason}")
             }
             IndexError::BadInsert(msg) => write!(f, "bad insert: {msg}"),
+            IndexError::MissingEntry { traj, seq } => {
+                write!(f, "segment {seq} of trajectory {traj} is not in the index")
+            }
             IndexError::Persist(msg) => write!(f, "persistence failure: {msg}"),
             IndexError::Buffer(msg) => write!(f, "buffer accounting violation: {msg}"),
             IndexError::Poisoned(what) => {

@@ -1160,7 +1160,12 @@ mod tests {
     fn delete_is_refused() {
         use crate::TrajectoryIndexWrite;
         let mut t = build(2, 10);
-        assert!(t.delete_entry(TrajectoryId(0), 0).is_err());
+        let first = LeafEntry {
+            traj: TrajectoryId(0),
+            seq: 0,
+            segment: traj(0.0, 10).segment(0),
+        };
+        assert!(t.delete_entry(&first).is_err());
     }
 
     #[test]

@@ -277,7 +277,7 @@ mod roundtrip_tests {
         }
         // Exercise the free list too.
         for s in (0..120u32).step_by(7) {
-            assert!(tree.delete(TrajectoryId(2), s).unwrap());
+            assert!(tree.delete(&entry(2, s, f64::from(s))).unwrap());
         }
         let mut bytes = Vec::new();
         tree.save(&mut bytes).unwrap();

@@ -4,7 +4,9 @@
 //! (Theodoridis/Vazirgiannis/Sellis, ICMCS 1996): a classic Guttman R-tree
 //! whose keys are the 3D minimum bounding boxes of individual trajectory
 //! line segments. Insertion descends by least volume enlargement and
-//! resolves overflows with the quadratic split.
+//! resolves overflows with the quadratic split; deletion finds the entry
+//! by descending only into boxes that enclose it (Guttman's FindLeaf) and
+//! condenses the path.
 
 use mst_trajectory::{Mbb, Trajectory, TrajectoryId};
 
@@ -17,6 +19,15 @@ use crate::{
 
 /// Minimum fill fraction enforced by the quadratic split.
 pub(crate) const MIN_FILL_RATIO: f64 = 0.4;
+
+/// One step of a root-to-leaf descent: a directory node as read, and the
+/// slot of the child the descent took. Writers keep the decoded nodes so
+/// the walk back up modifies them without reading the pages again.
+struct PathStep {
+    page: PageId,
+    node: Node,
+    slot: usize,
+}
 
 /// A Guttman-style 3D R-tree storing one entry per trajectory segment.
 pub struct Rtree3D {
@@ -85,103 +96,96 @@ impl Rtree3D {
             return Ok(());
         };
 
-        // Descend to the best leaf, remembering the path.
-        let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height as usize);
-        let mut current = root;
-        while let Node::Internal { entries, .. } = self.pager.read_node(current)? {
-            let idx = choose_subtree(&entries, &entry.mbb());
-            path.push((current, idx));
-            current = entries[idx].child;
-        }
-
-        // Insert into the leaf, splitting on overflow.
-        let mut leaf = self.pager.read_node(current)?;
-        let Node::Leaf { entries, .. } = &mut leaf else {
+        let (page, mut node, path) = self.choose_node(root, &entry.mbb(), 0)?;
+        let Node::Leaf { entries, .. } = &mut node else {
             return Err(IndexError::CorruptNode {
-                page: current,
+                page,
                 reason: "descent ended on an internal node".into(),
             });
         };
         entries.push(entry);
-        let mut updated_mbb; // MBB of the child we just modified
-        let mut split: Option<InternalEntry> = None;
-        if entries.len() > LEAF_CAPACITY {
-            let min_fill = (LEAF_CAPACITY as f64 * MIN_FILL_RATIO).ceil() as usize;
-            let items: Vec<(Mbb, LeafEntry)> = entries.iter().map(|e| (e.mbb(), *e)).collect();
-            let (a, b) = quadratic_split(items, min_fill);
-            let node_a = Node::Leaf {
-                entries: a.into_iter().map(|(_, e)| e).collect(),
-                owner: None,
-                prev: None,
-                next: None,
-            };
-            let node_b = Node::Leaf {
-                entries: b.into_iter().map(|(_, e)| e).collect(),
-                owner: None,
-                prev: None,
-                next: None,
-            };
-            updated_mbb = node_a.mbb();
-            self.pager.write_node(current, &node_a)?;
-            let new_page = self.pager.allocate_node(&node_b)?;
-            split = Some(InternalEntry {
-                child: new_page,
-                mbb: node_b.mbb(),
-            });
-        } else {
-            updated_mbb = leaf.mbb();
-            self.pager.write_node(current, &leaf)?;
-        }
+        self.settle(page, node, path)
+    }
 
-        // Walk back up: refresh the child MBB, absorb any split.
-        for &(page, child_idx) in path.iter().rev() {
-            let mut node = self.pager.read_node(page)?;
-            let Node::Internal { level, entries } = &mut node else {
+    /// Re-attaches the subtree behind `child` to a node at `level` (one
+    /// above the subtree's root), so its leaves stay at the depth of every
+    /// other leaf. Used by `condense` for the children of a
+    /// dissolved directory node.
+    fn reinsert_subtree(&mut self, child: InternalEntry, level: u8) -> Result<()> {
+        let Some(root) = self.root else {
+            return Err(IndexError::CorruptNode {
+                page: child.child,
+                reason: "orphaned subtree left without a tree to rejoin".into(),
+            });
+        };
+        let (page, mut node, path) = self.choose_node(root, &child.mbb, level)?;
+        match &mut node {
+            Node::Internal { level: l, entries } if *l == level => entries.push(child),
+            _ => {
                 return Err(IndexError::CorruptNode {
                     page,
+                    reason: format!("no directory node at level {level} to hold a subtree"),
+                })
+            }
+        }
+        self.settle(page, node, path)
+    }
+
+    /// Descends from `root` by least volume enlargement for `mbb` to the
+    /// first node at or below `level`, returning its page, the decoded
+    /// node and the root-to-parent path.
+    fn choose_node(
+        &mut self,
+        root: PageId,
+        mbb: &Mbb,
+        level: u8,
+    ) -> Result<(PageId, Node, Vec<PathStep>)> {
+        let mut path: Vec<PathStep> = Vec::with_capacity(self.height as usize);
+        let mut page = root;
+        loop {
+            let node = self.pager.read_node(page)?;
+            let (slot, child) = match &node {
+                Node::Internal { level: l, entries } if *l > level => {
+                    let slot = choose_subtree(entries, mbb);
+                    (slot, entries[slot].child)
+                }
+                _ => return Ok((page, node, path)),
+            };
+            path.push(PathStep { page, node, slot });
+            page = child;
+        }
+    }
+
+    /// Writes back `node` (which just gained an entry), splitting it on
+    /// overflow, then walks `path` upward refreshing each parent's MBB of
+    /// the modified child and absorbing any split; a root split grows the
+    /// tree by one level.
+    fn settle(&mut self, page: PageId, node: Node, path: Vec<PathStep>) -> Result<()> {
+        let old_root = path.first().map_or(page, |step| step.page);
+        let (mut updated_mbb, mut split) = self.write_or_split(page, node)?;
+        for PathStep {
+            page: parent_page,
+            node: mut parent,
+            slot,
+        } in path.into_iter().rev()
+        {
+            let Node::Internal { entries, .. } = &mut parent else {
+                return Err(IndexError::CorruptNode {
+                    page: parent_page,
                     reason: "path node is not internal".into(),
                 });
             };
-            entries[child_idx].mbb = updated_mbb;
-            if let Some(new_entry) = split.take() {
-                entries.push(new_entry);
-                if entries.len() > INTERNAL_CAPACITY {
-                    let min_fill = (INTERNAL_CAPACITY as f64 * MIN_FILL_RATIO).ceil() as usize;
-                    let items: Vec<(Mbb, InternalEntry)> =
-                        entries.iter().map(|e| (e.mbb, *e)).collect();
-                    let (a, b) = quadratic_split(items, min_fill);
-                    let level = *level;
-                    let node_a = Node::Internal {
-                        level,
-                        entries: a.into_iter().map(|(_, e)| e).collect(),
-                    };
-                    let node_b = Node::Internal {
-                        level,
-                        entries: b.into_iter().map(|(_, e)| e).collect(),
-                    };
-                    updated_mbb = node_a.mbb();
-                    self.pager.write_node(page, &node_a)?;
-                    let new_page = self.pager.allocate_node(&node_b)?;
-                    split = Some(InternalEntry {
-                        child: new_page,
-                        mbb: node_b.mbb(),
-                    });
-                    continue;
-                }
-            }
-            updated_mbb = node.mbb();
-            self.pager.write_node(page, &node)?;
+            entries[slot].mbb = updated_mbb;
+            entries.extend(split.take());
+            (updated_mbb, split) = self.write_or_split(parent_page, parent)?;
         }
-
-        // Root split: grow the tree by one level.
         if let Some(new_entry) = split {
-            let old_root_mbb = self.pager.read_node(root)?.mbb();
             let new_root = Node::Internal {
                 level: self.height,
                 entries: vec![
                     InternalEntry {
-                        child: root,
-                        mbb: old_root_mbb,
+                        child: old_root,
+                        mbb: updated_mbb,
                     },
                     new_entry,
                 ],
@@ -190,6 +194,52 @@ impl Rtree3D {
             self.height += 1;
         }
         Ok(())
+    }
+
+    /// Writes `node` to `page`, or — when it overflows — splits it with
+    /// the quadratic split, keeping one half in `page` and allocating a
+    /// page for the other. Returns the MBB of what `page` now holds and
+    /// the parent entry for the new sibling, if any.
+    fn write_or_split(&mut self, page: PageId, node: Node) -> Result<(Mbb, Option<InternalEntry>)> {
+        if node.len() <= node.capacity() {
+            let mbb = node.mbb();
+            self.pager.write_node(page, &node)?;
+            return Ok((mbb, None));
+        }
+        let min_fill = (node.capacity() as f64 * MIN_FILL_RATIO).ceil() as usize;
+        let (a, b) = match node {
+            Node::Leaf { entries, .. } => {
+                let items: Vec<(Mbb, LeafEntry)> = entries.iter().map(|e| (e.mbb(), *e)).collect();
+                let (a, b) = quadratic_split(items, min_fill);
+                let leaf = |group: SplitGroup<LeafEntry>| Node::Leaf {
+                    entries: group.into_iter().map(|(_, e)| e).collect(),
+                    owner: None,
+                    prev: None,
+                    next: None,
+                };
+                (leaf(a), leaf(b))
+            }
+            Node::Internal { level, entries } => {
+                let items: Vec<(Mbb, InternalEntry)> =
+                    entries.iter().map(|e| (e.mbb, *e)).collect();
+                let (a, b) = quadratic_split(items, min_fill);
+                let internal = |group: SplitGroup<InternalEntry>| Node::Internal {
+                    level,
+                    entries: group.into_iter().map(|(_, e)| e).collect(),
+                };
+                (internal(a), internal(b))
+            }
+        };
+        let mbb = a.mbb();
+        self.pager.write_node(page, &a)?;
+        let new_page = self.pager.allocate_node(&b)?;
+        Ok((
+            mbb,
+            Some(InternalEntry {
+                child: new_page,
+                mbb: b.mbb(),
+            }),
+        ))
     }
 
     /// Builds a tree bottom-up from a batch of entries with Sort-Tile-
@@ -336,92 +386,110 @@ impl Rtree3D {
         Self::load(std::io::BufReader::new(file))
     }
 
-    /// Deletes one segment entry (matched by trajectory id + sequence
-    /// number), condensing the tree à la Guttman: underfull nodes on the
-    /// path are dissolved and their surviving entries reinserted; freed
-    /// pages return to the store. Returns `false` when no such entry
-    /// exists.
+    /// Deletes one segment entry, condensing the tree à la Guttman:
+    /// underfull nodes on the path are dissolved and their surviving
+    /// entries reinserted; freed pages return to the store.
+    ///
+    /// The entry is located with Guttman's FindLeaf: the descent enters
+    /// only children whose MBB encloses `entry.mbb()`, so a delete reads
+    /// about as many pages as an insert rather than the whole tree. A
+    /// stored entry matches when its `(traj, seq)` *and* its segment equal
+    /// `entry`'s. Returns `false` when no such entry exists, including an
+    /// entry whose id and sequence number match but whose geometry does
+    /// not; the tree is then unchanged.
     ///
     /// `max_speed` is intentionally *not* recomputed — it remains a sound
     /// (if possibly loose) upper bound for the Vmax-based pruning metrics.
-    pub fn delete(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
-        let deleted = self.delete_impl(traj, seq)?;
+    pub fn delete(&mut self, entry: &LeafEntry) -> Result<bool> {
+        let deleted = self.delete_impl(entry)?;
         self.paranoid_audit("delete");
         Ok(deleted)
     }
 
-    fn delete_impl(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
+    fn delete_impl(&mut self, entry: &LeafEntry) -> Result<bool> {
         let Some(root) = self.root else {
             return Ok(false);
         };
-        let mut path: Vec<(PageId, usize)> = Vec::new();
-        let Some(leaf_page) = self.find_leaf(root, traj, seq, &mut path)? else {
+        let mut path: Vec<PathStep> = Vec::with_capacity(self.height as usize);
+        let Some((leaf_page, entries)) = self.find_leaf(root, entry, &entry.mbb(), &mut path)?
+        else {
             return Ok(false);
         };
-
-        let mut node = self.pager.read_node(leaf_page)?;
-        let Node::Leaf { entries, .. } = &mut node else {
-            return Err(IndexError::CorruptNode {
-                page: leaf_page,
-                reason: "find_leaf returned a non-leaf page".into(),
-            });
+        let node = Node::Leaf {
+            entries,
+            owner: None,
+            prev: None,
+            next: None,
         };
-        let Some(idx) = entries.iter().position(|e| e.traj == traj && e.seq == seq) else {
-            return Err(IndexError::CorruptNode {
-                page: leaf_page,
-                reason: "leaf lost the matched entry between lookup and delete".into(),
-            });
-        };
-        entries.remove(idx);
         self.num_entries -= 1;
         self.pager.write_node(leaf_page, &node)?;
         self.condense(leaf_page, node, path)?;
         Ok(true)
     }
 
-    /// Depth-first search for the leaf holding `(traj, seq)`, recording the
-    /// root-to-parent path of the match.
+    /// Guttman's FindLeaf: descends only into children whose MBB encloses
+    /// `mbb` (the entry's own box), recording the root-to-parent path of
+    /// the match. Every parent MBB is the exact min/max union of its
+    /// children's, so the comparison needs no tolerance. Returns the leaf's
+    /// page and its entries with the match already taken out.
     fn find_leaf(
         &mut self,
         page: PageId,
-        traj: TrajectoryId,
-        seq: u32,
-        path: &mut Vec<(PageId, usize)>,
-    ) -> Result<Option<PageId>> {
-        match self.pager.read_node(page)? {
-            Node::Leaf { entries, .. } => {
-                if entries.iter().any(|e| e.traj == traj && e.seq == seq) {
-                    Ok(Some(page))
-                } else {
-                    Ok(None)
-                }
+        entry: &LeafEntry,
+        mbb: &Mbb,
+        path: &mut Vec<PathStep>,
+    ) -> Result<Option<(PageId, Vec<LeafEntry>)>> {
+        let (level, entries) = match self.pager.read_node(page)? {
+            Node::Leaf { mut entries, .. } => {
+                let Some(idx) = entries.iter().position(|e| e == entry) else {
+                    return Ok(None);
+                };
+                entries.remove(idx);
+                return Ok(Some((page, entries)));
             }
-            Node::Internal { entries, .. } => {
-                for (i, e) in entries.iter().enumerate() {
-                    path.push((page, i));
-                    if let Some(found) = self.find_leaf(e.child, traj, seq, path)? {
-                        return Ok(Some(found));
-                    }
-                    path.pop();
-                }
-                Ok(None)
+            Node::Internal { level, entries } => (level, entries),
+        };
+        let candidates: Vec<(usize, PageId)> = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.mbb.encloses(mbb))
+            .map(|(slot, e)| (slot, e.child))
+            .collect();
+        path.push(PathStep {
+            page,
+            node: Node::Internal { level, entries },
+            slot: 0,
+        });
+        for (slot, child) in candidates {
+            if let Some(step) = path.last_mut() {
+                step.slot = slot;
+            }
+            if let Some(found) = self.find_leaf(child, entry, mbb, path)? {
+                return Ok(Some(found));
             }
         }
+        path.pop();
+        Ok(None)
     }
 
     /// Guttman's CondenseTree: walk the deletion path upward, dissolving
-    /// underfull nodes (their leaf entries are reinserted afterwards) and
-    /// tightening ancestor MBBs; then shrink the root while it has a single
-    /// child.
+    /// underfull nodes and tightening ancestor MBBs; then reinsert what the
+    /// dissolved nodes held — leaf entries into leaves, a directory node's
+    /// children as whole subtrees at its own level — and finally shrink the
+    /// root while it has a single child.
     fn condense(
         &mut self,
         mut child_page: PageId,
         mut child_node: Node,
-        path: Vec<(PageId, usize)>,
+        path: Vec<PathStep>,
     ) -> Result<()> {
-        let mut orphans: Vec<LeafEntry> = Vec::new();
-        for &(parent_page, child_idx) in path.iter().rev() {
-            let mut parent = self.pager.read_node(parent_page)?;
+        let mut orphans: Vec<Node> = Vec::new();
+        for PathStep {
+            page: parent_page,
+            node: mut parent,
+            slot: child_idx,
+        } in path.into_iter().rev()
+        {
             let Node::Internal { entries, .. } = &mut parent else {
                 return Err(IndexError::CorruptNode {
                     page: parent_page,
@@ -430,11 +498,11 @@ impl Rtree3D {
             };
             let min_fill = (child_node.capacity() as f64 * MIN_FILL_RATIO).ceil() as usize;
             if child_node.len() < min_fill {
-                // Dissolve the child: harvest its leaf entries, free its
-                // pages, drop it from the parent.
-                self.harvest(&child_node, &mut orphans)?;
+                // Dissolve the child: free its page, drop it from the
+                // parent, keep its contents for reinsertion.
                 self.pager.free_node(child_page)?;
                 entries.remove(child_idx);
+                orphans.push(child_node);
             } else {
                 entries[child_idx].mbb = child_node.mbb();
             }
@@ -443,12 +511,38 @@ impl Rtree3D {
             child_node = parent;
         }
 
+        // The root is never dissolved, so the tree keeps its height while
+        // the orphans go back in. `insert_impl` counts entries, so
+        // compensate; the unaudited paths are deliberate — the tree is
+        // transiently inconsistent until the last orphan lands, and the
+        // delete wrapper audits the final state.
+        if !orphans.is_empty() {
+            for node in orphans {
+                match node {
+                    Node::Leaf { entries, .. } => {
+                        for e in entries {
+                            self.num_entries -= 1;
+                            self.insert_impl(e)?;
+                        }
+                    }
+                    Node::Internal { level, entries } => {
+                        for e in entries {
+                            self.reinsert_subtree(e, level)?;
+                        }
+                    }
+                }
+            }
+            // Reinsertion may have split the root: start from the current one.
+            child_page = self.root.unwrap_or(child_page);
+            child_node = self.pager.read_node(child_page)?;
+        }
+
         // Shrink the root: empty leaf -> empty tree; single-child internal
         // chains collapse.
         loop {
             match &child_node {
                 Node::Leaf { entries, .. } => {
-                    if entries.is_empty() && orphans.is_empty() {
+                    if entries.is_empty() {
                         self.pager.free_node(child_page)?;
                         self.root = None;
                         self.height = 0;
@@ -472,31 +566,6 @@ impl Rtree3D {
                     }
                     _ => break,
                 },
-            }
-        }
-
-        // Reinsert what the dissolved nodes still held. `insert_impl`
-        // counts entries, so compensate; the unaudited path is deliberate —
-        // the tree is transiently inconsistent until the last orphan lands,
-        // and the delete wrapper audits the final state.
-        for e in orphans {
-            self.num_entries -= 1;
-            self.insert_impl(e)?;
-        }
-        Ok(())
-    }
-
-    /// Collects every leaf entry below `node` and frees the visited
-    /// descendant pages (the node's own page is freed by the caller).
-    fn harvest(&mut self, node: &Node, out: &mut Vec<LeafEntry>) -> Result<()> {
-        match node {
-            Node::Leaf { entries, .. } => out.extend(entries.iter().copied()),
-            Node::Internal { entries, .. } => {
-                for e in entries {
-                    let child = self.pager.read_node(e.child)?;
-                    self.harvest(&child, out)?;
-                    self.pager.free_node(e.child)?;
-                }
             }
         }
         Ok(())
@@ -533,8 +602,8 @@ impl crate::TrajectoryIndexWrite for Rtree3D {
         self.insert(entry)
     }
 
-    fn delete_entry(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
-        self.delete(traj, seq)
+    fn delete_entry(&mut self, entry: &LeafEntry) -> Result<bool> {
+        self.delete(entry)
     }
 }
 
@@ -906,16 +975,20 @@ mod tests {
     fn delete_removes_entry_and_preserves_invariants() {
         let mut t = Rtree3D::new();
         let n = 600u32;
-        for i in 0..n {
-            let x = (f64::from(i) * 13.0) % 83.0;
-            let y = (f64::from(i) * 7.0) % 41.0;
-            t.insert(entry(u64::from(i % 20), i / 20, f64::from(i), x, y))
-                .unwrap();
+        let entries: Vec<LeafEntry> = (0..n)
+            .map(|i| {
+                let x = (f64::from(i) * 13.0) % 83.0;
+                let y = (f64::from(i) * 7.0) % 41.0;
+                entry(u64::from(i % 20), i / 20, f64::from(i), x, y)
+            })
+            .collect();
+        for e in &entries {
+            t.insert(*e).unwrap();
         }
         // Delete every third entry.
         let mut deleted = 0u64;
-        for i in (0..n).step_by(3) {
-            assert!(t.delete(TrajectoryId(u64::from(i % 20)), i / 20).unwrap());
+        for e in entries.iter().step_by(3) {
+            assert!(t.delete(e).unwrap());
             deleted += 1;
         }
         assert_eq!(t.num_entries(), u64::from(n) - deleted);
@@ -932,9 +1005,48 @@ mod tests {
     fn delete_missing_entry_returns_false() {
         let mut t = Rtree3D::new();
         t.insert(entry(1, 0, 0.0, 0.0, 0.0)).unwrap();
-        assert!(!t.delete(TrajectoryId(9), 0).unwrap());
-        assert!(!t.delete(TrajectoryId(1), 5).unwrap());
+        assert!(!t.delete(&entry(9, 0, 0.0, 0.0, 0.0)).unwrap());
+        assert!(!t.delete(&entry(1, 5, 0.0, 0.0, 0.0)).unwrap());
         assert_eq!(t.num_entries(), 1);
+    }
+
+    #[test]
+    fn delete_with_matching_id_but_other_geometry_leaves_the_tree_unchanged() {
+        let mut t = Rtree3D::new();
+        for i in 0..400u32 {
+            t.insert(entry(
+                u64::from(i % 10),
+                i / 10,
+                f64::from(i),
+                f64::from(i % 13),
+                0.0,
+            ))
+            .unwrap();
+        }
+        let stored = entry(3, 7, 73.0, f64::from(73 % 13), 0.0);
+        let everything = Mbb::new(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9);
+        let mut before = t.range_query(&everything).unwrap();
+        before.sort_by_key(|e| (e.traj, e.seq));
+        let pages = t.num_pages();
+        // Same (traj, seq), moved in space; then one inside the stored
+        // box but with its own endpoints: neither is the stored entry.
+        let moved = entry(3, 7, 73.0, 50.0, 50.0);
+        let inner = LeafEntry {
+            segment: seg(73.25, 8.1, 0.05, 73.75, 8.3, 0.2),
+            ..stored
+        };
+        assert!(stored.mbb().encloses(&inner.mbb()));
+        for wrong in [moved, inner] {
+            assert!(!t.delete(&wrong).unwrap());
+            assert_eq!(t.num_entries(), 400);
+            assert_eq!(t.num_pages(), pages);
+            let mut after = t.range_query(&everything).unwrap();
+            after.sort_by_key(|e| (e.traj, e.seq));
+            assert_eq!(after, before);
+        }
+        crate::check_invariants(&mut t).unwrap();
+        assert!(t.delete(&stored).unwrap());
+        assert_eq!(t.num_entries(), 399);
     }
 
     #[test]
@@ -947,7 +1059,8 @@ mod tests {
         }
         let pages_full = t.num_pages();
         for i in 0..n {
-            assert!(t.delete(TrajectoryId(u64::from(i)), 0).unwrap(), "i={i}");
+            let e = entry(u64::from(i), 0, f64::from(i), f64::from(i % 9), 0.0);
+            assert!(t.delete(&e).unwrap(), "i={i}");
         }
         assert_eq!(t.num_entries(), 0);
         assert!(t.root().is_none());
@@ -970,7 +1083,7 @@ mod tests {
     #[test]
     fn interleaved_insert_delete_stays_consistent() {
         let mut t = Rtree3D::new();
-        let mut live: Vec<(u64, u32)> = Vec::new();
+        let mut live: Vec<LeafEntry> = Vec::new();
         let mut x: u64 = 0xDEADBEEF;
         for step in 0..1500u32 {
             x = x
@@ -979,19 +1092,88 @@ mod tests {
             let coin = (x >> 60) % 4;
             if coin == 0 && !live.is_empty() {
                 let idx = (x >> 20) as usize % live.len();
-                let (tr, seq) = live.swap_remove(idx);
-                assert!(t.delete(TrajectoryId(tr), seq).unwrap());
+                let e = live.swap_remove(idx);
+                assert!(t.delete(&e).unwrap());
             } else {
                 let tr = u64::from(step % 30);
                 let seq = step;
                 let fx = f64::from((x >> 10) as u32 % 1000) / 10.0;
                 let fy = f64::from((x >> 30) as u32 % 1000) / 10.0;
-                t.insert(entry(tr, seq, f64::from(step), fx, fy)).unwrap();
-                live.push((tr, seq));
+                let e = entry(tr, seq, f64::from(step), fx, fy);
+                t.insert(e).unwrap();
+                live.push(e);
             }
         }
         assert_eq!(t.num_entries() as usize, live.len());
         crate::check_invariants(&mut t).unwrap();
+    }
+
+    #[test]
+    fn dissolved_directory_nodes_rejoin_as_subtrees() {
+        // STR packs these entries into 100 leaves under two level-1 nodes
+        // (78 + 22 children) and a level-2 root. The small one is
+        // underfull, so the first delete below it dissolves it, and its
+        // leaves rejoin the tree as whole subtrees: no leaf is broken up,
+        // every leaf stays at depth 2.
+        let entries: Vec<LeafEntry> = (0..90 * LEAF_CAPACITY as u32)
+            .map(|i| {
+                let x = (f64::from(i) * 13.7) % 211.0;
+                let y = (f64::from(i) * 7.1) % 157.0;
+                entry(u64::from(i % 50), i / 50, f64::from(i), x, y)
+            })
+            .collect();
+        let mut t = Rtree3D::bulk_load(entries.clone()).unwrap();
+        assert_eq!(t.height(), 3);
+        let leaves_before = crate::check_invariants(&mut t).unwrap().leaves;
+        let children = |t: &mut Rtree3D| -> Vec<InternalEntry> {
+            match t.read_node(t.root().unwrap()).unwrap() {
+                Node::Internal { entries, .. } => entries,
+                Node::Leaf { .. } => panic!("root is a leaf"),
+            }
+        };
+        let small = children(&mut t)
+            .into_iter()
+            .min_by_key(|c| t.pager.read_node(c.child).unwrap().len())
+            .unwrap();
+        let Node::Internal {
+            entries: leaves, ..
+        } = t.read_node(small.child).unwrap()
+        else {
+            panic!("level-1 node is a leaf");
+        };
+        assert!(leaves.len() < 32, "{} children", leaves.len());
+        let Node::Leaf { entries: held, .. } = t.read_node(leaves[0].child).unwrap() else {
+            panic!("level-0 node is internal");
+        };
+        assert!(t.delete(&held[0]).unwrap());
+        assert_eq!(t.height(), 3);
+        // The rejoining subtrees overflowed the big node, which split.
+        for c in children(&mut t) {
+            let len = t.read_node(c.child).unwrap().len();
+            assert!((32..=INTERNAL_CAPACITY).contains(&len), "{len} children");
+        }
+        let report = crate::check_invariants(&mut t).unwrap();
+        assert_eq!(report.leaves, leaves_before);
+        assert_eq!(report.entries, entries.len() as u64 - 1);
+
+        // Random deletes on top, dissolving leaves and directory nodes.
+        let mut order: Vec<LeafEntry> = entries.into_iter().filter(|e| *e != held[0]).collect();
+        mst_prng::Rng::seed_from(7).shuffle(&mut order);
+        let (gone, kept) = order.split_at(order.len() / 4);
+        for (n, e) in gone.iter().enumerate() {
+            assert!(t.delete(e).unwrap(), "delete {n}: {e:?} not found");
+            if n % 500 == 0 {
+                crate::check_invariants(&mut t).unwrap();
+            }
+        }
+        crate::check_invariants(&mut t).unwrap();
+        let mut survivors = t
+            .range_query(&Mbb::new(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9))
+            .unwrap();
+        survivors.sort_by_key(|e| (e.traj, e.seq));
+        let mut want = kept.to_vec();
+        want.sort_by_key(|e| (e.traj, e.seq));
+        assert_eq!(survivors, want);
     }
 
     #[test]
@@ -1027,7 +1209,7 @@ mod tests {
         assert_eq!(a, b);
         // A bulk-loaded tree keeps accepting inserts and deletes.
         bulk.insert(entry(99, 0, 5000.0, 1.0, 1.0)).unwrap();
-        assert!(bulk.delete(TrajectoryId(99), 0).unwrap());
+        assert!(bulk.delete(&entry(99, 0, 5000.0, 1.0, 1.0)).unwrap());
         crate::check_invariants(&mut bulk).unwrap();
     }
 

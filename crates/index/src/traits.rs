@@ -294,14 +294,16 @@ pub trait TrajectoryIndexWrite: TrajectoryIndex {
     /// Inserts one segment entry.
     fn insert_entry(&mut self, entry: LeafEntry) -> Result<()>;
 
-    /// Deletes one segment entry, matched by trajectory id + sequence
-    /// number. Returns `Ok(false)` when no such entry exists. The default
+    /// Deletes one segment entry. `entry` must be the entry as inserted:
+    /// its trajectory id, sequence number *and* segment. The segment's box
+    /// guides the search to the leaf, and the stored segment must equal
+    /// it. Returns `Ok(false)` when no such entry exists. The default
     /// refuses rather than silently dropping the request: substrates whose
     /// structure cannot support point deletes (the TB-tree's leaf chains,
     /// the STR-tree's packed layout) surface a typed error, and ingest
     /// paths route deletes to substrates that can.
-    fn delete_entry(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
-        let _ = (traj, seq);
+    fn delete_entry(&mut self, entry: &LeafEntry) -> Result<bool> {
+        let _ = entry;
         Err(IndexError::Persist(
             "this index substrate does not support point deletes".to_string(),
         ))

@@ -11,8 +11,8 @@ use mst_trajectory::{Mbb, TrajectoryId};
 
 use crate::{Node, PageId, TrajectoryIndex};
 
-/// Tolerance for MBB containment comparisons (pure f64 copies should be
-/// exact; the slack guards against future arithmetic in MBB maintenance).
+/// Slack for the TB-tree's temporal-order checks between consecutive
+/// segments. MBB containment takes none (see [`check_invariants`]).
 const TOL: f64 = 1e-9;
 
 /// Summary of a structural validation pass.
@@ -28,19 +28,12 @@ pub struct InvariantReport {
     pub max_depth: usize,
 }
 
-fn mbb_contains(outer: &Mbb, inner: &Mbb) -> bool {
-    outer.x_min <= inner.x_min + TOL
-        && outer.y_min <= inner.y_min + TOL
-        && outer.t_min <= inner.t_min + TOL
-        && outer.x_max >= inner.x_max - TOL
-        && outer.y_max >= inner.y_max - TOL
-        && outer.t_max >= inner.t_max - TOL
-}
-
 /// Walks the whole tree checking:
 ///
-/// 1. every internal entry's MBB contains (within tolerance) the MBB of the
-///    child subtree it points to;
+/// 1. every internal entry's MBB encloses the MBB of the child subtree it
+///    points to, exactly: parents are min/max unions of their children, so
+///    no tolerance is needed, and R-tree deletion's guided FindLeaf relies
+///    on the exact containment;
 /// 2. levels decrease by exactly one on each descent and reach 0 at leaves;
 /// 3. no node exceeds its capacity;
 /// 4. every leaf sits at the same depth;
@@ -98,7 +91,7 @@ pub fn check_invariants<I: TrajectoryIndex>(index: &mut I) -> Result<InvariantRe
         }
         if let Some(parent_mbb) = expected_mbb {
             let own = node.mbb();
-            if !mbb_contains(&parent_mbb, &own) {
+            if !parent_mbb.encloses(&own) {
                 return Err(format!(
                     "page {page:?}: parent MBB {parent_mbb:?} does not contain node MBB {own:?}"
                 ));

@@ -135,6 +135,18 @@ impl Mbb {
         }
     }
 
+    /// True when `other` lies inside this closed box. The comparison is
+    /// exact: a box built as the min/max union of its parts encloses each
+    /// part bit for bit, with no tolerance needed.
+    pub fn encloses(&self, other: &Mbb) -> bool {
+        self.x_min <= other.x_min
+            && self.y_min <= other.y_min
+            && self.t_min <= other.t_min
+            && other.x_max <= self.x_max
+            && other.y_max <= self.y_max
+            && other.t_max <= self.t_max
+    }
+
     /// Volume of the box (x-extent × y-extent × t-extent).
     pub fn volume(&self) -> f64 {
         if self.is_empty() {
@@ -208,6 +220,27 @@ mod tests {
         assert!((r.min_distance(&Point::new(5.0, 6.0)) - 5.0).abs() < 1e-12);
         // On the boundary.
         assert_eq!(r.min_distance(&Point::new(2.0, 2.0)), 0.0);
+    }
+
+    #[test]
+    fn union_encloses_both_parts_exactly() {
+        let a = Mbb::new(0.1, 0.2, 0.3, 0.7, 0.9, 1.1);
+        let b = Mbb::new(-3.3, 0.25, 0.35, 0.5, 4.4, 0.4);
+        let u = a.union(&b);
+        assert!(u.encloses(&a) && u.encloses(&b) && u.encloses(&u));
+        assert!(!a.encloses(&u));
+        // Touching faces still count; one ulp outside does not.
+        let edge = Mbb::new(0.7, 0.2, 0.3, 0.7, 0.9, 1.1);
+        assert!(a.encloses(&edge));
+        let past = Mbb::new(
+            0.7,
+            0.2,
+            0.3,
+            f64::from_bits(0.7f64.to_bits() + 1),
+            0.9,
+            1.1,
+        );
+        assert!(!a.encloses(&past));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! deterministic loop over [`mst_prng`]-generated inputs, with the failing
 //! case index reported for exact replay.
 
-use mst::datagen::td_tr;
+use std::collections::BTreeSet;
+
+use mst::datagen::{td_tr, GstdConfig};
 use mst::index::mindist::trajectory_mbb_mindist;
 use mst::index::{check_invariants, LeafEntry, Rtree3D, TbTree, TrajectoryIndex};
 use mst::search::bounds::Candidate;
@@ -21,7 +23,7 @@ use mst::search::{
     bfmst_search, scan_kmst, Integration, MstConfig, NoShare, NoopSink, TrajectoryStore,
 };
 use mst::trajectory::cosample::co_segments;
-use mst::trajectory::{TimeInterval, Trajectory, TrajectoryId};
+use mst::trajectory::{Mbb, TimeInterval, Trajectory, TrajectoryId};
 use mst_prng::Rng;
 
 /// A trajectory with `n` points on the shared time grid `0, 1, ..., n-1`
@@ -338,7 +340,14 @@ fn rtree_delete_then_query_is_consistent() {
         for (traj, seq) in kill {
             let id = TrajectoryId(traj);
             let was_present = !removed.contains(&(id, seq));
-            let deleted = tree.delete(id, seq).unwrap();
+            let segment = store.get(id).unwrap().segment(seq as usize);
+            let deleted = tree
+                .delete(&LeafEntry {
+                    traj: id,
+                    seq,
+                    segment,
+                })
+                .unwrap();
             assert_eq!(deleted, was_present);
             removed.insert((id, seq));
         }
@@ -346,6 +355,130 @@ fn rtree_delete_then_query_is_consistent() {
         let expected = 5 * 9 - removed.len() as u64;
         assert_eq!(tree.num_entries(), expected);
     });
+}
+
+/// Every segment of every stored trajectory as an index entry, in
+/// temporal arrival order (how a moving-object database receives them).
+fn entries_of(store: &TrajectoryStore) -> Vec<LeafEntry> {
+    let mut entries: Vec<LeafEntry> = store
+        .iter()
+        .flat_map(|(id, t)| {
+            t.segments()
+                .enumerate()
+                .map(move |(seq, segment)| LeafEntry {
+                    traj: id,
+                    seq: seq as u32,
+                    segment,
+                })
+        })
+        .collect();
+    entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
+    entries
+}
+
+/// The three ways a served R-tree comes to exist: built by insertion,
+/// packed by STR bulk load, and reloaded from a saved image.
+fn three_trees(entries: &[LeafEntry]) -> Vec<(&'static str, Rtree3D)> {
+    let mut inserted = Rtree3D::new();
+    for e in entries {
+        inserted.insert(*e).unwrap();
+    }
+    let bulk = Rtree3D::bulk_load(entries.to_vec()).unwrap();
+    let mut bytes = Vec::new();
+    inserted.save(&mut bytes).unwrap();
+    let reloaded = Rtree3D::load(&bytes[..]).unwrap();
+    vec![
+        ("inserted", inserted),
+        ("bulk", bulk),
+        ("reloaded", reloaded),
+    ]
+}
+
+fn survivors(tree: &mut Rtree3D) -> BTreeSet<(TrajectoryId, u32)> {
+    let everything = Mbb::new(-1e12, -1e12, -1e12, 1e12, 1e12, 1e12);
+    let all = tree.range_query(&everything).unwrap();
+    let set: BTreeSet<(TrajectoryId, u32)> = all.iter().map(|e| (e.traj, e.seq)).collect();
+    assert_eq!(set.len(), all.len(), "an entry is stored twice");
+    set
+}
+
+#[test]
+fn rtree_deletes_agree_with_a_model_on_every_kind_of_tree() {
+    check("rtree_delete_model", 4, |rng| {
+        let store = TrajectoryStore::from_trajectories(dataset(rng, 8, 80));
+        let entries = entries_of(&store);
+        for (kind, mut tree) in three_trees(&entries) {
+            let mut model: BTreeSet<(TrajectoryId, u32)> =
+                entries.iter().map(|e| (e.traj, e.seq)).collect();
+            let leaves_before = check_invariants(&mut tree).unwrap().leaves;
+            let mut order = entries.clone();
+            rng.shuffle(&mut order);
+            // Three quarters of the entries go: leaves fall below their
+            // minimum fill, get dissolved, and their orphans reinserted.
+            for e in &order[..order.len() * 3 / 4] {
+                if rng.chance(0.2) {
+                    // Same (traj, seq), other geometry: not this entry.
+                    let twin = LeafEntry {
+                        segment: entries[rng.usize_below(entries.len())].segment,
+                        ..*e
+                    };
+                    if twin.segment != e.segment {
+                        assert!(!tree.delete(&twin).unwrap(), "{kind}: twin deleted");
+                    }
+                }
+                assert!(tree.delete(e).unwrap(), "{kind}: {e:?} not found");
+                model.remove(&(e.traj, e.seq));
+                if rng.chance(0.1) {
+                    assert!(!tree.delete(e).unwrap(), "{kind}: deleted twice");
+                }
+                check_invariants(&mut tree).unwrap_or_else(|err| panic!("{kind}: {err}"));
+                assert_eq!(tree.num_entries(), model.len() as u64, "{kind}");
+                assert_eq!(survivors(&mut tree), model, "{kind}");
+            }
+            let leaves_after = check_invariants(&mut tree).unwrap().leaves;
+            assert!(
+                leaves_after < leaves_before,
+                "{kind}: no leaf was dissolved ({leaves_before} -> {leaves_after})"
+            );
+        }
+    });
+}
+
+/// Deletion follows Guttman's FindLeaf, descending only into children
+/// whose box encloses the entry's: on trees of at least 1000 pages a
+/// delete reads a few paths' worth of nodes, never a sizeable share of
+/// the tree. Counted in node reads, so the bound holds on any host.
+#[test]
+fn rtree_deletes_read_a_small_share_of_a_large_tree() {
+    let store = TrajectoryStore::from_trajectories(
+        GstdConfig {
+            num_objects: 250,
+            samples_per_object: 280,
+            ..GstdConfig::paper_dataset(250, 41)
+        }
+        .generate(),
+    );
+    let entries = entries_of(&store);
+    let mut rng = Rng::seed_from(41);
+    for (kind, mut tree) in three_trees(&entries) {
+        let pages = tree.num_pages();
+        assert!(pages >= 1000, "{kind}: only {pages} pages");
+        let mut order = entries.clone();
+        rng.shuffle(&mut order);
+        let deletes = 400;
+        let before = tree.stats().node_reads;
+        for e in &order[..deletes] {
+            assert!(tree.delete(e).unwrap(), "{kind}: {e:?} not found");
+        }
+        let reads = tree.stats().node_reads - before;
+        let per_delete = reads as f64 / deletes as f64;
+        assert!(
+            per_delete < 0.05 * pages as f64,
+            "{kind}: {per_delete:.1} node reads per delete on {pages} pages"
+        );
+        check_invariants(&mut tree).unwrap();
+        assert_eq!(tree.num_entries(), (entries.len() - deletes) as u64);
+    }
 }
 
 #[test]
