@@ -7,7 +7,10 @@
 #      fixtures, seeded fixture trees — `cargo test -p xtask`)
 #   3. the zero-dependency static-analysis pass (crates/xtask); the
 #      machine-readable report is archived to results/xtask_report.json
-#   4. a release build of the whole workspace
+#   4. a release build of the whole workspace, then of the repository
+#      benchmark (e2ebench, its own workspace that builds against the
+#      library crates by path), so an API change that breaks the
+#      benchmark fails here
 #   5. the full test suite
 #   6. the index tests again with `paranoid` audits after every mutation
 #   7. the observability smoke benchmark (regenerates BENCH_kmst.json and
@@ -70,6 +73,9 @@ gate "static analysis (xtask check, report -> results/xtask_report.json)" \
     xtask_check
 
 gate "cargo build --release --workspace" cargo build --release --workspace
+
+gate "repository benchmark build (e2ebench)" \
+    cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 
 gate "cargo test --workspace" cargo test -q --workspace
 

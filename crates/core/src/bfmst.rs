@@ -303,7 +303,9 @@ pub fn bfmst_search_source<S: CandidateSource, M: QueryMetrics, B: BoundShare>(
                     }
                 }
             } else {
-                metrics.bound_evals(PruningBound::Ldd, cand.num_gaps(period) as u64);
+                // PESDISSIM and OPTDISSIM each walk every gap with an LDD.
+                let gaps = cand.num_gaps(period) as u64;
+                metrics.bound_evals(PruningBound::Ldd, gaps);
                 metrics.bound_evals(PruningBound::PesDissim, 1);
                 let pes = cand.pes_dissim(period, vmax);
                 if upper.update(e.traj, pes) {
@@ -320,7 +322,7 @@ pub fn bfmst_search_source<S: CandidateSource, M: QueryMetrics, B: BoundShare>(
                     if hint < local_tau {
                         metrics.bound_evals(PruningBound::SharedKth, 1);
                     }
-                    metrics.bound_evals(PruningBound::Ldd, cand.num_gaps(period) as u64);
+                    metrics.bound_evals(PruningBound::Ldd, gaps);
                     metrics.bound_evals(PruningBound::OptDissim, 1);
                     // The enclosure's safe side: OPTDISSIM already folds the
                     // approximation error in (Section 4.4's "PESDISSIM -

@@ -15,7 +15,7 @@
 //! or at the piece boundary — all closed-form.
 
 use mst_trajectory::float;
-use mst_trajectory::{Mbb, Rect, Segment, TimeInterval, Trajectory};
+use mst_trajectory::{Mbb, Rect, SamplePoint, Segment, TimeInterval, Trajectory};
 
 /// Minimum spatial distance between a moving point (one trajectory segment)
 /// and a static rectangle, over the segment's own time span.
@@ -88,6 +88,19 @@ pub fn segment_rect_mindist(seg: &Segment, rect: &Rect) -> f64 {
     best.sqrt()
 }
 
+/// Squared distance between `rect` and the spatial bounding box of the
+/// samples `a` and `b`: a lower bound on the squared distance of every
+/// point of the segment between them.
+fn box_gap_sq(a: &SamplePoint, b: &SamplePoint, rect: &Rect) -> f64 {
+    let dx = (rect.x_min - a.x.max(b.x))
+        .max(0.0)
+        .max(a.x.min(b.x) - rect.x_max);
+    let dy = (rect.y_min - a.y.max(b.y))
+        .max(0.0)
+        .max(a.y.min(b.y) - rect.y_max);
+    dx * dx + dy * dy
+}
+
 /// `MINDIST(Q, N)`: minimum spatial distance between the query trajectory
 /// and the node MBB over the temporal overlap of `period`, the query's
 /// validity, and the node's temporal extent.
@@ -110,12 +123,20 @@ pub fn trajectory_mbb_mindist(query: &Trajectory, mbb: &Mbb, period: &TimeInterv
         .segment_index_at(window.start())
         // invariant: `window` was intersected with `query.time()` above.
         .expect("window is inside the query's validity");
+    let points = query.points();
     for i in first..query.num_segments() {
-        let seg = query.segment(i);
-        if seg.time().start() >= window.end() {
+        let (a, b) = (&points[i], &points[i + 1]);
+        if a.t >= window.end() {
             break;
         }
-        let Some(clipped) = seg.clip(&window) else {
+        // Every point of the segment lies in the box of its two samples, so
+        // a box farther from `rect` than `best` cannot lower the minimum.
+        // Squares compare like the distances: sqrt is monotone and
+        // `sqrt(best * best) == best` in IEEE arithmetic.
+        if box_gap_sq(a, b, &rect) > best * best {
+            continue;
+        }
+        let Some(clipped) = query.segment(i).clip(&window) else {
             continue;
         };
         best = best.min(segment_rect_mindist(&clipped, &rect));
@@ -231,6 +252,183 @@ mod tests {
         let d = trajectory_mbb_mindist(&q, &node, &period).unwrap();
         // Query is at (10, 0) at t=10; rect x starts at 13.
         assert!((d - 3.0).abs() < 1e-12);
+    }
+
+    /// The loop before the box test: clips and measures every segment in
+    /// the window. Also counts the segments whose box is farther than the
+    /// running minimum, the ones the box test skips.
+    fn unpruned_mindist(
+        query: &Trajectory,
+        mbb: &Mbb,
+        period: &TimeInterval,
+        skippable: &mut usize,
+    ) -> Option<f64> {
+        let window = period.intersect(&query.time())?.intersect(&mbb.time())?;
+        let rect = mbb.rect();
+        if window.is_instant() {
+            let p = query.position_at(window.start()).ok()?;
+            return Some(rect.min_distance(&p));
+        }
+        let mut best = f64::INFINITY;
+        let first = query.segment_index_at(window.start()).unwrap();
+        for i in first..query.num_segments() {
+            let seg = query.segment(i);
+            if seg.time().start() >= window.end() {
+                break;
+            }
+            if box_gap_sq(&seg.start(), &seg.end(), &rect) > best * best {
+                *skippable += 1;
+            }
+            let Some(clipped) = seg.clip(&window) else {
+                continue;
+            };
+            best = best.min(segment_rect_mindist(&clipped, &rect));
+            if float::exactly_zero(best) {
+                break;
+            }
+        }
+        (best < f64::INFINITY).then_some(best)
+    }
+
+    /// Node MBBs of an R-tree over `fleet`, internal entries and leaf
+    /// entries alike.
+    fn node_mbbs(fleet: &[Trajectory]) -> Vec<Mbb> {
+        use crate::{Node, Rtree3D, TrajectoryIndex};
+        let mut tree = Rtree3D::new();
+        for (id, t) in fleet.iter().enumerate() {
+            tree.insert_trajectory(mst_trajectory::TrajectoryId(id as u64), t)
+                .unwrap();
+        }
+        let mut mbbs = Vec::new();
+        let mut stack: Vec<_> = tree.root().into_iter().collect();
+        while let Some(page) = stack.pop() {
+            match tree.read_node(page).unwrap() {
+                Node::Internal { entries, .. } => {
+                    for e in entries {
+                        stack.push(e.child);
+                        mbbs.push(e.mbb);
+                    }
+                }
+                Node::Leaf { entries, .. } => {
+                    mbbs.extend(entries.iter().step_by(17).map(|e| e.segment.mbb()));
+                }
+            }
+        }
+        mbbs
+    }
+
+    /// `query` clipped to a random window of `share` of its duration.
+    fn sub_query(query: &Trajectory, share: f64, rng: &mut mst_prng::Rng) -> Trajectory {
+        let (t0, t1) = (query.start_time(), query.end_time());
+        let len = (t1 - t0) * share;
+        let start = rng.f64_range(t0, t1 - len);
+        query
+            .clip(&TimeInterval::new(start, start + len).unwrap())
+            .unwrap()
+    }
+
+    /// `query` with runs of repeated positions: every third segment stands
+    /// still.
+    fn with_stops(query: &Trajectory) -> Trajectory {
+        let mut points = query.points().to_vec();
+        for i in (1..points.len()).step_by(3) {
+            let prev = points[i - 1];
+            points[i] = SamplePoint::new(points[i].t, prev.x, prev.y);
+        }
+        Trajectory::new(points).unwrap()
+    }
+
+    #[test]
+    fn box_test_returns_the_unpruned_value_bit_for_bit() {
+        use mst_datagen::GstdConfig;
+        let fleet = GstdConfig {
+            num_objects: 12,
+            samples_per_object: 400,
+            ..GstdConfig::paper_dataset(12, 7)
+        }
+        .generate();
+        let mut mbbs = node_mbbs(&fleet);
+        // Zero-extent rectangles: single sample points held over time.
+        for t in fleet.iter().take(4) {
+            let p = t.points()[t.num_points() / 2];
+            mbbs.push(Mbb::new(p.x, p.y, p.t - 30.0, p.x, p.y, p.t + 30.0));
+            mbbs.push(Mbb::new(p.x, p.y, p.t, p.x, p.y, p.t));
+        }
+        let mut queries = Vec::new();
+        let sources = GstdConfig {
+            num_objects: 6,
+            samples_per_object: 400,
+            ..GstdConfig::paper_dataset(6, 8)
+        }
+        .generate();
+        let mut rng = mst_prng::Rng::seed_from(0x4D49_4E44);
+        for q in &sources {
+            for share in [0.05, 0.4] {
+                let sub = sub_query(q, share, &mut rng);
+                queries.push(with_stops(&sub));
+                queries.push(sub);
+            }
+        }
+        for q in &queries {
+            // A rectangle containing the query, and the same one moved far away.
+            let (mut lo_x, mut lo_y, mut hi_x, mut hi_y) = (1e9, 1e9, -1e9, -1e9);
+            for p in q.points() {
+                (lo_x, lo_y) = (p.x.min(lo_x), p.y.min(lo_y));
+                (hi_x, hi_y) = (p.x.max(hi_x), p.y.max(hi_y));
+            }
+            let (t0, t1) = (q.start_time(), q.end_time());
+            mbbs.push(Mbb::new(
+                lo_x - 0.01,
+                lo_y - 0.01,
+                t0,
+                hi_x + 0.01,
+                hi_y + 0.01,
+                t1,
+            ));
+            mbbs.push(Mbb::new(
+                lo_x + 5.0,
+                lo_y + 3.0,
+                t0,
+                hi_x + 5.0,
+                hi_y + 3.0,
+                t1,
+            ));
+        }
+        let mut checked = 0usize;
+        let mut skippable = 0usize;
+        let mut nones = 0usize;
+        for q in &queries {
+            let (t0, t1) = (q.start_time(), q.end_time());
+            let mid = t0 + (t1 - t0) * 0.37;
+            let periods = [
+                TimeInterval::new(t0, t1).unwrap(),
+                // Cuts mid-segment at both ends (sample times are integers).
+                TimeInterval::new(t0 + 0.25, mid + 0.5).unwrap(),
+                TimeInterval::new(mid, mid).unwrap(),
+                TimeInterval::new(t0.floor() + 1.0, t0.floor() + 1.0).unwrap(),
+            ];
+            for period in &periods {
+                for mbb in &mbbs {
+                    let got = trajectory_mbb_mindist(q, mbb, period);
+                    let want = unpruned_mindist(q, mbb, period, &mut skippable);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "query {:?}.. {mbb:?} {period:?}: {got:?} vs {want:?}",
+                        q.points()[0]
+                    );
+                    checked += 1;
+                    nones += usize::from(got.is_none());
+                }
+            }
+        }
+        // The corpus must exercise the skip and the no-overlap path.
+        assert!(
+            checked - nones > 5_000,
+            "{checked} pairs, {nones} without overlap"
+        );
+        assert!(nones > 0);
+        assert!(skippable > checked, "{skippable} skippable segments");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use mst::datagen::{td_tr, GstdConfig};
 use mst::index::mindist::trajectory_mbb_mindist;
-use mst::index::{check_invariants, LeafEntry, Rtree3D, TbTree, TrajectoryIndex};
+use mst::index::{check_invariants, LeafEntry, Node, Rtree3D, TbTree, TrajectoryIndex};
 use mst::search::bounds::Candidate;
 use mst::search::dissim::{dissim_between, dissim_exact, piece};
 use mst::search::{
@@ -166,6 +166,29 @@ fn bfmst_equals_scan_on_random_datasets() {
 
 #[test]
 fn mindist_lower_bounds_realized_distances() {
+    // Node-sized boxes: the directory entries of an R-tree over a GSTD
+    // fleet. Against them a 400-segment query skips most segments of a
+    // window by their bounding box, so that path runs under the check too.
+    let fleet = GstdConfig {
+        samples_per_object: 401,
+        ..GstdConfig::paper_dataset(8, 77)
+    }
+    .generate();
+    let mut tree = Rtree3D::new();
+    for (i, t) in fleet.iter().enumerate() {
+        tree.insert_trajectory(TrajectoryId(i as u64), t).unwrap();
+    }
+    let mut nodes = Vec::new();
+    let mut stack: Vec<_> = tree.root().into_iter().collect();
+    while let Some(page) = stack.pop() {
+        if let Node::Internal { entries, .. } = tree.read_node(page).unwrap() {
+            stack.extend(entries.iter().map(|e| e.child));
+            nodes.extend(entries.iter().map(|e| e.mbb));
+        }
+    }
+    assert!(nodes.len() >= 8, "{} directory entries", nodes.len());
+    let mut skippable = 0usize;
+
     check("mindist_lower_bounds", 64, |rng| {
         // For any candidate segment's MBB, MINDIST(Q, mbb) must lower-bound
         // the actual distance between the query and that segment over the
@@ -191,7 +214,54 @@ fn mindist_lower_bounds_realized_distances() {
                 );
             }
         }
+
+        let q = GstdConfig {
+            samples_per_object: 401,
+            ..GstdConfig::paper_dataset(1, rng.next_u64())
+        }
+        .generate()
+        .remove(0);
+        let a = rng.f64_range(0.0, 200.0);
+        let period = if rng.bool() {
+            TimeInterval::new(0.0, 400.0).unwrap()
+        } else {
+            TimeInterval::new(a, a + rng.f64_range(1.0, 200.0)).unwrap()
+        };
+        for mbb in &nodes {
+            let Some(lower) = trajectory_mbb_mindist(&q, mbb, &period) else {
+                continue;
+            };
+            let window = period.intersect(&mbb.time()).unwrap();
+            let rect = mbb.rect();
+            // Every sample inside the window plus a uniform grid over it.
+            let samples = q.points().iter().map(|p| p.t);
+            let grid = (0..=100)
+                .map(|i| window.start() + (window.end() - window.start()) * f64::from(i) / 100.0);
+            for tt in samples.chain(grid).filter(|&t| window.contains(t)) {
+                let d = rect.min_distance(&q.position_at(tt).unwrap());
+                assert!(
+                    lower <= d + 1e-12,
+                    "mindist {lower} exceeds the box distance {d} at t={tt}"
+                );
+            }
+            // Segments whose box lies beyond the answer: the loop skips
+            // each one it reaches after its running minimum got there.
+            skippable += q
+                .segments()
+                .filter(|s| s.time().intersect(&window).is_some())
+                .filter(|s| {
+                    let b = s.mbb().rect();
+                    let dx = (rect.x_min - b.x_max).max(b.x_min - rect.x_max).max(0.0);
+                    let dy = (rect.y_min - b.y_max).max(b.y_min - rect.y_max).max(0.0);
+                    dx.hypot(dy) > lower
+                })
+                .count();
+        }
     });
+    assert!(
+        skippable > 10_000,
+        "{skippable} segments beyond a node's MINDIST"
+    );
 }
 
 #[test]
