@@ -85,7 +85,7 @@ gate "cargo test -p mst-index --features paranoid" \
 gate "observability smoke bench (BENCH_kmst.json)" \
     cargo run --release -q -p mst-bench --bin kmst_profile -- --smoke
 
-gate "index shootout smoke (R-tree / TB-tree / Metric tree agree with the scan)" \
+gate "index shootout smoke (R-tree / STR-tree / TB-tree agree with the scan)" \
     cargo run --release -q -p mst-bench --bin index_comparison -- \
     --objects 16 --samples 200 --queries 6 --k 2 --seed 11
 

@@ -1,12 +1,12 @@
-//! Index shootout (3D R-tree / bulk R-tree / STR-tree / TB-tree /
-//! Metric tree) over the same insertion stream and k-MST workload.
+//! Index shootout (3D R-tree / bulk R-tree / STR-tree / TB-tree) over
+//! the same insertion stream and k-MST workload.
 //!
 //! Usage: `cargo run -p mst-bench --release --bin index_comparison --
 //! [--objects 250] [--samples 2000] [--queries 50] [--length 0.25]
 //! [--k 1] [--seed 7] [--csv results]`
 //!
-//! Exits non-zero when any substrate's answers disagree with the exact
-//! linear scan, so CI can use a small configuration as a cross-substrate
+//! Exits non-zero when any index's answers disagree with the exact
+//! linear scan, so CI can use a small configuration as a cross-index
 //! correctness smoke.
 
 use mst_bench::args::Args;
@@ -42,5 +42,5 @@ fn main() {
         eprintln!("[index_comparison] FAILED: {disagreeing:?} disagree with the exact scan");
         std::process::exit(1);
     }
-    eprintln!("[index_comparison] every substrate agrees with the exact scan");
+    eprintln!("[index_comparison] every index agrees with the exact scan");
 }

@@ -1,6 +1,6 @@
 //! Emits `BENCH_kmst.json`: per-query k-MST observability profiles
-//! (pruning, I/O, evaluation counters + wall time) on all three
-//! substrates (3D R-tree, TB-tree, metric tree).
+//! (pruning, I/O, evaluation counters + wall time) on the 3D R-tree and
+//! the TB-tree.
 //!
 //! Usage: `cargo run -p mst-bench --release --bin kmst_profile --
 //! [--smoke] [--objects 250] [--samples 2000] [--queries 50]

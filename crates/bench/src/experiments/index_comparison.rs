@@ -1,40 +1,28 @@
 //! Index shootout (extension): the paper evaluates the 3D R-tree and the
 //! TB-tree; its reference [13] defines a third structure, the STR-tree,
-//! sitting between them; and this reproduction adds a fourth — the
-//! whole-trajectory metric tree with triangle-inequality pruning. This
-//! experiment builds all of them over the same insertion stream and runs
-//! the same k-MST workload through each substrate's own search
-//! ([`mst_search::KmstSubstrate::kmst_search`]), reporting build cost,
-//! size, query time, pruning, and physical I/O.
-//!
-//! The metric tree's ball directory is built lazily on its first query,
-//! so that query's wall time carries the directory build; pruning power
-//! and page misses are unaffected (the directory is distance bookkeeping
-//! over cached trajectories, not page I/O).
+//! sitting between them. This experiment builds all of them (plus a
+//! bulk-loaded R-tree) over the same insertion stream and runs the same
+//! k-MST workload through BFMST on each, reporting build cost, size,
+//! query time, pruning, and physical I/O.
 //!
 //! Two pruning columns, deliberately distinct:
 //!
-//! - **Pruning power** is physical — the fraction of the substrate's own
-//!   pages a query did *not* read. The MBB trees win here by
-//!   construction: their refinement decodes individual segment pages,
-//!   while the metric tree's refinement reads a candidate's whole chain.
-//! - **Filter prunes** is logical — candidates the substrate's filter
-//!   bound eliminated per query *without* exact refinement
-//!   (`candidates.pruned` in the [`mst_search::QueryProfile`] ledger,
-//!   identical semantics on every substrate). This is where the metric
-//!   tree's triangle-inequality bound does its work: the R-tree's MBB
-//!   filter rarely rejects a surfaced candidate outright (its strength
-//!   is descent ordering), whereas the ball bound discards candidates
-//!   wholesale before any page of theirs is read.
+//! - **Pruning power** is physical — the fraction of the index's own
+//!   pages a query did *not* read.
+//! - **Filter prunes** is logical — candidates the filter bound
+//!   eliminated per query *without* exact refinement
+//!   (`candidates.pruned` in the [`mst_search::QueryProfile`] ledger).
+//!   The MBB filter rarely rejects a surfaced candidate outright; its
+//!   strength is descent ordering.
 
-use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
-use mst_search::{KmstSubstrate, MstConfig, NoShare, QueryProfile, TrajectoryStore};
+use mst_index::{Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
+use mst_search::{bfmst_search, MstConfig, NoShare, QueryProfile, TrajectoryStore};
 
 use crate::datasets::{temporal_entries, DatasetSpec};
 use crate::metrics::{pruning_power, time_ms, Summary, Table};
 use crate::workload::sample_queries;
 
-/// Configuration of the three-way comparison.
+/// Configuration of the comparison.
 #[derive(Debug, Clone)]
 pub struct IndexComparisonConfig {
     /// Moving objects in the synthetic dataset.
@@ -64,7 +52,7 @@ impl Default for IndexComparisonConfig {
     }
 }
 
-fn measure<I: TrajectoryIndexWrite + KmstSubstrate>(
+fn measure<I: TrajectoryIndexWrite>(
     index: I,
     label: &str,
     entries: &[mst_index::LeafEntry],
@@ -82,7 +70,7 @@ fn measure<I: TrajectoryIndexWrite + KmstSubstrate>(
     measure_queries(index, label, build_ms, store, cfg, table, expected);
 }
 
-fn measure_queries<I: TrajectoryIndexWrite + KmstSubstrate>(
+fn measure_queries<I: TrajectoryIndexWrite>(
     mut index: I,
     label: &str,
     build_ms: f64,
@@ -102,16 +90,16 @@ fn measure_queries<I: TrajectoryIndexWrite + KmstSubstrate>(
         index.reset_stats();
         let mut profile = QueryProfile::new();
         let (ms, report) = time_ms(|| {
-            index
-                .kmst_search(
-                    store,
-                    &q.query,
-                    &q.period,
-                    &MstConfig::k(cfg.k),
-                    &NoShare,
-                    &mut profile,
-                )
-                .expect("valid query")
+            bfmst_search(
+                &mut index,
+                store,
+                &q.query,
+                &q.period,
+                &MstConfig::k(cfg.k),
+                &NoShare,
+                &mut profile,
+            )
+            .expect("valid query")
         });
         let got: Vec<_> = report.matches.iter().map(|m| m.traj).collect();
         agree &= got == *want;
@@ -163,7 +151,7 @@ pub fn index_comparison(cfg: &IndexComparisonConfig) -> Table {
         .collect();
 
     let mut table = Table::new(
-        "Index comparison: 3D R-tree vs STR-tree vs TB-tree vs Metric tree",
+        "Index comparison: 3D R-tree vs STR-tree vs TB-tree",
         &[
             "Index",
             "Build (ms)",
@@ -213,15 +201,6 @@ pub fn index_comparison(cfg: &IndexComparisonConfig) -> Table {
         &mut table,
         &expected,
     );
-    measure(
-        MetricTree::new(),
-        "Metric tree",
-        &entries,
-        &store,
-        cfg,
-        &mut table,
-        &expected,
-    );
     table
 }
 
@@ -240,37 +219,9 @@ mod tests {
             seed: 3,
         };
         let t = index_comparison(&cfg);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.len(), 4);
         for line in t.to_csv().lines().skip(1) {
             assert_eq!(line.split(',').nth(7).unwrap(), "true", "{line}");
         }
-    }
-
-    #[test]
-    fn metric_tree_prunes_at_least_as_hard_as_the_rtree_filter() {
-        let cfg = IndexComparisonConfig {
-            objects: 16,
-            samples: 200,
-            queries: 6,
-            length: 0.3,
-            k: 2,
-            seed: 11,
-        };
-        let t = index_comparison(&cfg);
-        let filter_prunes = |label: &str| -> f64 {
-            t.to_csv()
-                .lines()
-                .skip(1)
-                .find(|l| l.starts_with(label))
-                .and_then(|l| l.split(',').nth(5))
-                .and_then(|v| v.parse().ok())
-                .expect("filter-prunes cell")
-        };
-        // Same ledger counter on both rows: candidates the filter bound
-        // eliminated per query without exact refinement. The R-tree's
-        // MBB filter almost never rejects a surfaced candidate outright
-        // (its strength is descent ordering); the triangle-inequality
-        // bound must discard at least as many.
-        assert!(filter_prunes("Metric tree") >= filter_prunes("3D R-tree"));
     }
 }

@@ -1,22 +1,20 @@
 //! Per-query observability profiles of the k-MST search — the benchmark
 //! face of the `QueryProfile` subsystem.
 //!
-//! Runs a seeded GSTD k-MST workload against all three index substrates
-//! (each through its own [`mst_search::KmstSubstrate::kmst_search`]) with
-//! a [`QueryProfile`] attached to every query, and emits the result as
-//! `BENCH_kmst.json`: per-query wall time plus every counter the metrics
-//! layer collects (heap traffic, node accesses by level, buffer hits and
-//! misses, bytes decoded, exact vs trapezoid piece evaluations, and the
-//! per-heuristic pruning ledger — including the metric tree's
-//! triangle-inequality bound). [`KmstProfileReport::validate`] is the
-//! CI tripwire: an all-zero counter means an instrumentation hook fell off.
-//! The liveness set is per substrate — the MBB substrates must show the
-//! paper's MINDIST-family heuristics firing, the metric tree its
-//! triangle-inequality bound.
+//! Runs a seeded GSTD k-MST workload (BFMST) against the 3D R-tree and
+//! the TB-tree with a [`QueryProfile`] attached to every query, and emits
+//! the result as `BENCH_kmst.json`: per-query wall time plus every counter
+//! the metrics layer collects (heap traffic, node accesses by level,
+//! buffer hits and misses, bytes decoded, exact vs trapezoid piece
+//! evaluations, and the per-heuristic pruning ledger).
+//! [`KmstProfileReport::validate`] is the CI tripwire: an all-zero counter
+//! means an instrumentation hook fell off. Every substrate must show the
+//! paper's MINDIST-family heuristics firing.
 
-use mst_search::{KmstSubstrate, MstConfig, NoShare, QueryProfile};
+use mst_index::TrajectoryIndex;
+use mst_search::{bfmst_search, MstConfig, NoShare, QueryProfile};
 
-use crate::datasets::{build_metric, build_rtree, build_tbtree, DatasetSpec, IndexKind};
+use crate::datasets::{build_rtree, build_tbtree, DatasetSpec, IndexKind};
 use crate::metrics::time_ms;
 use crate::workload::{sample_queries, QuerySpec};
 
@@ -121,10 +119,6 @@ pub fn kmst_profile(cfg: &KmstProfileConfig) -> KmstProfileReport {
                 let mut idx = build_tbtree(&store);
                 profile_workload(&mut idx, &store, &queries, cfg.k)
             }
-            IndexKind::Metric => {
-                let mut idx = build_metric(&store);
-                profile_workload(&mut idx, &store, &queries, cfg.k)
-            }
         };
         substrates.push(SubstrateProfile {
             kind,
@@ -142,7 +136,7 @@ pub fn kmst_profile(cfg: &KmstProfileConfig) -> KmstProfileReport {
 /// The buffer is cleared first, so query 0 faults every page in (misses)
 /// while later queries re-read the upper tree levels from the buffer
 /// (hits).
-fn profile_workload<I: KmstSubstrate>(
+fn profile_workload<I: TrajectoryIndex>(
     index: &mut I,
     store: &mst_search::TrajectoryStore,
     queries: &[QuerySpec],
@@ -154,16 +148,16 @@ fn profile_workload<I: KmstSubstrate>(
     for (i, q) in queries.iter().enumerate() {
         let mut profile = QueryProfile::new();
         let (ms, report) = time_ms(|| {
-            index
-                .kmst_search(
-                    store,
-                    &q.query,
-                    &q.period,
-                    &MstConfig::k(k),
-                    &NoShare,
-                    &mut profile,
-                )
-                .expect("profiled query")
+            bfmst_search(
+                index,
+                store,
+                &q.query,
+                &q.period,
+                &MstConfig::k(k),
+                &NoShare,
+                &mut profile,
+            )
+            .expect("profiled query")
         });
         rows.push(ProfiledQuery {
             query: i,
@@ -192,8 +186,7 @@ fn profile_json(p: &QueryProfile) -> String {
             "\"pruning\":{{\"ldd_evals\":{},\"opt_dissim_evals\":{},\"opt_dissim_prunes\":{},",
             "\"pes_dissim_evals\":{},\"pes_dissim_tightenings\":{},",
             "\"opt_dissim_inc_evals\":{},\"opt_dissim_inc_prunes\":{},",
-            "\"min_dissim_inc_evals\":{},\"min_dissim_inc_prunes\":{},",
-            "\"triangle_ineq_evals\":{},\"triangle_ineq_prunes\":{}}},",
+            "\"min_dissim_inc_evals\":{},\"min_dissim_inc_prunes\":{}}},",
             "\"early_terminations\":{}}}"
         ),
         p.heap_pushes,
@@ -218,8 +211,6 @@ fn profile_json(p: &QueryProfile) -> String {
         p.pruning.opt_dissim_inc_prunes,
         p.pruning.min_dissim_inc_evals,
         p.pruning.min_dissim_inc_prunes,
-        p.pruning.triangle_ineq_evals,
-        p.pruning.triangle_ineq_prunes,
         p.early_terminations,
     )
 }
@@ -290,38 +281,20 @@ impl KmstProfileReport {
                 }
                 total.merge(&row.profile);
             }
-            // Liveness is per substrate: each one must exercise exactly
-            // the counter classes its search is built from.
-            let checks: Vec<(&str, u64)> = match s.kind {
-                IndexKind::Rtree3D | IndexKind::TbTree => vec![
-                    ("heap_pushes", total.heap_pushes),
-                    ("heap_pops", total.heap_pops),
-                    ("node_accesses", total.nodes_accessed()),
-                    ("buffer_hits", total.buffer_hits),
-                    ("buffer_misses", total.buffer_misses),
-                    ("bytes_decoded", total.bytes_decoded),
-                    ("piece_evals", total.piece_evals()),
-                    ("ldd_evals", total.pruning.ldd_evals),
-                    ("opt_dissim_evals", total.pruning.opt_dissim_evals),
-                    ("pes_dissim_evals", total.pruning.pes_dissim_evals),
-                    ("opt_dissim_inc_evals", total.pruning.opt_dissim_inc_evals),
-                    ("min_dissim_inc_evals", total.pruning.min_dissim_inc_evals),
-                ],
-                // The metric substrate never computes MBB bounds; its
-                // ledger lives in the triangle-inequality counters, its
-                // refinements are always exact, and its I/O shows up as
-                // leaf-chain reads (misses + bytes decoded).
-                IndexKind::Metric => vec![
-                    ("heap_pushes", total.heap_pushes),
-                    ("heap_pops", total.heap_pops),
-                    ("node_accesses", total.nodes_accessed()),
-                    ("buffer_misses", total.buffer_misses),
-                    ("bytes_decoded", total.bytes_decoded),
-                    ("exact_piece_evals", total.exact_piece_evals),
-                    ("triangle_ineq_evals", total.pruning.triangle_ineq_evals),
-                    ("candidates_refined", total.candidates.refined),
-                ],
-            };
+            let checks = [
+                ("heap_pushes", total.heap_pushes),
+                ("heap_pops", total.heap_pops),
+                ("node_accesses", total.nodes_accessed()),
+                ("buffer_hits", total.buffer_hits),
+                ("buffer_misses", total.buffer_misses),
+                ("bytes_decoded", total.bytes_decoded),
+                ("piece_evals", total.piece_evals()),
+                ("ldd_evals", total.pruning.ldd_evals),
+                ("opt_dissim_evals", total.pruning.opt_dissim_evals),
+                ("pes_dissim_evals", total.pruning.pes_dissim_evals),
+                ("opt_dissim_inc_evals", total.pruning.opt_dissim_inc_evals),
+                ("min_dissim_inc_evals", total.pruning.min_dissim_inc_evals),
+            ];
             for (name, value) in checks {
                 if value == 0 {
                     failures.push(format!(
@@ -330,15 +303,10 @@ impl KmstProfileReport {
                     ));
                 }
             }
-            let prunes = match s.kind {
-                IndexKind::Rtree3D | IndexKind::TbTree => {
-                    total.candidates.pruned
-                        + total.pruning.opt_dissim_prunes
-                        + total.pruning.opt_dissim_inc_prunes
-                        + total.pruning.min_dissim_inc_prunes
-                }
-                IndexKind::Metric => total.pruning.triangle_ineq_prunes,
-            };
+            let prunes = total.candidates.pruned
+                + total.pruning.opt_dissim_prunes
+                + total.pruning.opt_dissim_inc_prunes
+                + total.pruning.min_dissim_inc_prunes;
             if prunes == 0 {
                 failures.push(format!(
                     "{label}: no candidate or node was ever pruned — the \
@@ -359,7 +327,7 @@ mod tests {
         let report = kmst_profile(&KmstProfileConfig::smoke());
         let failures = report.validate();
         assert!(failures.is_empty(), "{failures:#?}");
-        assert_eq!(report.substrates.len(), 3);
+        assert_eq!(report.substrates.len(), 2);
         for s in &report.substrates {
             assert_eq!(s.rows.len(), report.config.queries);
         }
@@ -367,9 +335,7 @@ mod tests {
         assert!(json.contains("\"experiment\": \"kmst_profile\""));
         assert!(json.contains("\"3D R-tree\""));
         assert!(json.contains("\"TB-tree\""));
-        assert!(json.contains("\"Metric tree\""));
         assert!(json.contains("\"min_dissim_inc_evals\""));
-        assert!(json.contains("\"triangle_ineq_evals\""));
         // Crude structural sanity: balanced braces and brackets.
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();

@@ -205,11 +205,6 @@ pub fn throughput(cfg: &ThroughputConfig) -> ThroughputReport {
                         .expect("shard build");
                     sweep_threads(cfg, kind, shards, &db, &queries, &mut points);
                 }
-                IndexKind::Metric => {
-                    let db = ShardedDatabase::with_metric(shards, fleet.iter().cloned())
-                        .expect("shard build");
-                    sweep_threads(cfg, kind, shards, &db, &queries, &mut points);
-                }
             }
         }
     }
@@ -220,7 +215,7 @@ pub fn throughput(cfg: &ThroughputConfig) -> ThroughputReport {
     }
 }
 
-fn sweep_threads<I: mst_index::TrajectoryIndexWrite + mst_search::KmstSubstrate + Send>(
+fn sweep_threads<I: mst_index::TrajectoryIndexWrite + Send>(
     cfg: &ThroughputConfig,
     kind: IndexKind,
     shards: usize,
@@ -429,8 +424,8 @@ mod tests {
         let report = throughput(&tiny());
         let failures = report.validate();
         assert!(failures.is_empty(), "{failures:#?}");
-        // 3 substrates x 2 shard counts x 2 thread counts.
-        assert_eq!(report.points.len(), 12);
+        // 2 substrates x 2 shard counts x 2 thread counts.
+        assert_eq!(report.points.len(), 8);
         let json = report.to_json();
         assert!(json.contains("\"experiment\": \"throughput\""));
         assert!(json.contains("\"shared_kth_prunes\""));

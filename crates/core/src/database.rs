@@ -17,17 +17,13 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
-use mst_index::{
-    knn_segments_traced, KnnMatch, LeafEntry, MetricTree, Rtree3D, TbTree, TrajectoryIndexWrite,
-};
+use mst_index::{knn_segments_traced, KnnMatch, LeafEntry, Rtree3D, TbTree, TrajectoryIndexWrite};
 use mst_trajectory::{Mbb, Point, SamplePoint, Segment, TimeInterval, Trajectory, TrajectoryId};
 
-use crate::bfmst::MstConfig;
+use crate::bfmst::{bfmst_search, MstConfig};
 use crate::metrics::QueryMetrics;
 use crate::nn::{nearest_trajectories, NnMatch};
-use crate::options::Substrate;
 use crate::share::NoShare;
-use crate::substrate::KmstSubstrate;
 use crate::time_relaxed::{time_relaxed_kmst_traced, TimeRelaxedConfig, TimeRelaxedMatch};
 use crate::{MstMatch, Result, SearchError, TrajectoryStore};
 
@@ -74,17 +70,6 @@ impl MovingObjectDatabase<TbTree> {
     /// temporal order (they do in a live feed).
     pub fn with_tbtree() -> Self {
         MovingObjectDatabase::new(TbTree::new())
-    }
-}
-
-impl MovingObjectDatabase<MetricTree> {
-    /// A MOD backed by a metric tree: k-MST queries run the
-    /// triangle-inequality ball search with exact DISSIM refinement
-    /// instead of BFMST. Positions of each object must arrive in temporal
-    /// order, and each object's stream must be gap-free (the streaming
-    /// [`MovingObjectDatabase::append`] path guarantees both).
-    pub fn with_metric() -> Self {
-        MovingObjectDatabase::new(MetricTree::new())
     }
 }
 
@@ -189,33 +174,26 @@ impl<I: TrajectoryIndexWrite> MovingObjectDatabase<I> {
         f(&self.store.borrow())
     }
 
-    /// The [`Substrate`] this database is backed by (what queries pinning
-    /// a substrate are validated against).
-    pub fn substrate(&self) -> Substrate
-    where
-        I: KmstSubstrate,
-    {
-        I::KIND
-    }
-
     /// k-MST / range-MST runner behind [`Query::kmst`](crate::query::Query):
-    /// dispatches to the substrate's own search (BFMST on the MBB trees,
-    /// the ball search on the metric tree).
+    /// BFMST over this database's index.
     pub(crate) fn run_kmst<M: QueryMetrics>(
         &mut self,
         query: &Trajectory,
         period: &TimeInterval,
         config: &MstConfig,
         metrics: &mut M,
-    ) -> Result<Vec<MstMatch>>
-    where
-        I: KmstSubstrate,
-    {
+    ) -> Result<Vec<MstMatch>> {
         self.materialize();
         let store = self.store.get_mut();
-        let report = self
-            .index
-            .kmst_search(store, query, period, config, &NoShare, metrics)?;
+        let report = bfmst_search(
+            &mut self.index,
+            store,
+            query,
+            period,
+            config,
+            &NoShare,
+            metrics,
+        )?;
         Ok(report.matches)
     }
 

@@ -11,10 +11,7 @@
 //! TB-tree MINDIST descent in these terms, event-for-event identical to the
 //! pre-refactor inlined loops (the same heap pushes, pops, node reads, and
 //! buffer traffic in the same order), so answers and profiles are
-//! bit-identical. The metric substrate provides its own whole-trajectory
-//! search instead (see [`crate::substrate`]): its triangle-inequality
-//! bounds apply to complete trajectories, not segment groups, so it
-//! overrides the search rather than the source.
+//! bit-identical.
 //!
 //! The protocol is two-phase because heuristic 2 must be able to terminate
 //! a search *without* paying for the node read: [`CandidateSource::pop`]

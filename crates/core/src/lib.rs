@@ -38,7 +38,6 @@ pub mod scan;
 pub mod selectivity;
 pub mod share;
 mod store;
-pub mod substrate;
 pub mod time_relaxed;
 mod topk;
 
@@ -52,7 +51,7 @@ pub use metrics::{
     QueryProfile,
 };
 pub use nn::{nearest_trajectories, nearest_trajectories_source, NnMatch, NnOutcome};
-pub use options::{canonical_f64_bits, OptionsKey, QueryOptions, Substrate};
+pub use options::{canonical_f64_bits, OptionsKey, QueryOptions};
 pub use query::{
     KmstQuery, KmstSpec, KnnQuery, KnnSegmentsQuery, KnnSpec, Query, RangeQuery, RangeSpec,
     SegmentsSpec, TimeRelaxedQuery,
@@ -61,7 +60,6 @@ pub use scan::{scan_kmst, scan_kmst_traced};
 pub use selectivity::{estimate_selectivity, SelectivityEstimate, SelectivityHistogram};
 pub use share::{BoundShare, NoShare};
 pub use store::TrajectoryStore;
-pub use substrate::{metric_kmst_search, KmstSubstrate};
 pub use time_relaxed::{
     time_relaxed_kmst, time_relaxed_kmst_traced, TimeRelaxedConfig, TimeRelaxedMatch,
 };
@@ -99,14 +97,6 @@ pub enum SearchError {
     /// A [`Query`] builder was run with a required parameter missing or an
     /// inconsistent combination of settings.
     MisconfiguredQuery(&'static str),
-    /// The query pinned a [`Substrate`] the executing database is not
-    /// backed by.
-    SubstrateMismatch {
-        /// The substrate the query options demanded.
-        requested: Substrate,
-        /// The substrate actually backing the database.
-        actual: Substrate,
-    },
 }
 
 impl std::fmt::Display for SearchError {
@@ -124,14 +114,6 @@ impl std::fmt::Display for SearchError {
             }
             SearchError::MisconfiguredQuery(what) => {
                 write!(f, "misconfigured query: {what}")
-            }
-            SearchError::SubstrateMismatch { requested, actual } => {
-                write!(
-                    f,
-                    "query pinned substrate {} but the database runs on {}",
-                    requested.name(),
-                    actual.name()
-                )
             }
         }
     }

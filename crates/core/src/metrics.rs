@@ -40,12 +40,6 @@ pub enum PruningBound {
     /// constraint — the purely shard-local threshold alone would not have
     /// fired.
     SharedKth,
-    /// The metric substrate's triangle-inequality lower bound:
-    /// `max(0, DISSIM(Q, pivot) - radius)` for a covering-radius ball, or
-    /// `max(0, DISSIM(Q, pivot) - d(pivot, T))` for a stored member
-    /// distance. Sound for any query window by window-restriction
-    /// monotonicity of the DISSIM integrand.
-    TriangleIneq,
 }
 
 /// Candidate lifecycle accounting. The ledger balances by construction:
@@ -95,11 +89,11 @@ pub struct PruningCounters {
     /// Prunes (candidates or queued nodes) where only the shared bound
     /// cleared the threshold — work another shard's discovery killed.
     pub shared_kth_prunes: u64,
-    /// Triangle-inequality lower bounds computed by the metric substrate
-    /// (one per member distance test; ball descent bounds are folded in).
+    /// Always 0: no search computes a triangle-inequality bound. Kept only
+    /// until `e2ebench/src/trace.rs` stops summing it.
     pub triangle_ineq_evals: u64,
-    /// Candidates or queued balls rejected because the triangle-inequality
-    /// bound cleared the threshold.
+    /// Always 0, like [`PruningCounters::triangle_ineq_evals`], and kept
+    /// for the same reader.
     pub triangle_ineq_prunes: u64,
 }
 
@@ -202,8 +196,6 @@ impl QueryProfile {
         self.pruning.min_dissim_inc_prunes += other.pruning.min_dissim_inc_prunes;
         self.pruning.shared_kth_evals += other.pruning.shared_kth_evals;
         self.pruning.shared_kth_prunes += other.pruning.shared_kth_prunes;
-        self.pruning.triangle_ineq_evals += other.pruning.triangle_ineq_evals;
-        self.pruning.triangle_ineq_prunes += other.pruning.triangle_ineq_prunes;
         self.early_terminations += other.early_terminations;
         self.answer_cache_hits += other.answer_cache_hits;
         self.answer_cache_misses += other.answer_cache_misses;
@@ -370,7 +362,6 @@ impl QueryMetrics for QueryProfile {
             PruningBound::OptDissimInc => self.pruning.opt_dissim_inc_evals += n,
             PruningBound::MinDissimInc => self.pruning.min_dissim_inc_evals += n,
             PruningBound::SharedKth => self.pruning.shared_kth_evals += n,
-            PruningBound::TriangleIneq => self.pruning.triangle_ineq_evals += n,
         }
     }
 
@@ -382,7 +373,6 @@ impl QueryMetrics for QueryProfile {
             PruningBound::OptDissimInc => self.pruning.opt_dissim_inc_prunes += n,
             PruningBound::MinDissimInc => self.pruning.min_dissim_inc_prunes += n,
             PruningBound::SharedKth => self.pruning.shared_kth_prunes += n,
-            PruningBound::TriangleIneq => self.pruning.triangle_ineq_prunes += n,
         }
     }
 
@@ -460,8 +450,6 @@ mod tests {
         b.bound_evals(PruningBound::Ldd, 3);
         b.bound_evals(PruningBound::SharedKth, 2);
         b.pruned_by(PruningBound::SharedKth, 1);
-        b.bound_evals(PruningBound::TriangleIneq, 5);
-        b.pruned_by(PruningBound::TriangleIneq, 2);
         b.candidate_seen();
         b.candidate_pruned();
         b.io_retry();
@@ -477,8 +465,6 @@ mod tests {
         assert_eq!(a.pruning.ldd_evals, 3);
         assert_eq!(a.pruning.shared_kth_evals, 2);
         assert_eq!(a.pruning.shared_kth_prunes, 1);
-        assert_eq!(a.pruning.triangle_ineq_evals, 5);
-        assert_eq!(a.pruning.triangle_ineq_prunes, 2);
         assert_eq!(a.candidates.seen, 2);
         assert_eq!(a.io_retries, 2);
         assert_eq!(a.answer_cache_hits, 3);

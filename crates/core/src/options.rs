@@ -12,65 +12,6 @@ use core::time::Duration;
 
 use mst_trajectory::TimeInterval;
 
-/// Which index substrate a query should run against.
-///
-/// Carried on [`QueryOptions`] so the *query*, not server startup, selects
-/// the substrate: a database hosting a metric tree refuses an explicitly
-/// MBB-addressed query with a typed error instead of silently answering
-/// from the wrong structure, and answer caches / cross-connection dedup
-/// key on the selector so answers never leak across substrates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Substrate {
-    /// Run on whatever substrate the database hosts (the default — the
-    /// pre-selector behaviour).
-    #[default]
-    Auto,
-    /// The 3D R-tree MBB substrate.
-    Rtree,
-    /// The TB-tree (trajectory-bundle) MBB substrate.
-    TbTree,
-    /// The bulk-loaded STR-packed MBB substrate.
-    StrTree,
-    /// The ball-partitioning metric tree over whole trajectories.
-    Metric,
-}
-
-impl Substrate {
-    /// The selector's wire/cache tag byte — stable across releases.
-    pub fn tag(self) -> u8 {
-        match self {
-            Substrate::Auto => 0,
-            Substrate::Rtree => 1,
-            Substrate::TbTree => 2,
-            Substrate::StrTree => 3,
-            Substrate::Metric => 4,
-        }
-    }
-
-    /// Decodes a wire/cache tag byte back into a selector.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Substrate::Auto),
-            1 => Some(Substrate::Rtree),
-            2 => Some(Substrate::TbTree),
-            3 => Some(Substrate::StrTree),
-            4 => Some(Substrate::Metric),
-            _ => None,
-        }
-    }
-
-    /// A human-readable name for errors and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Substrate::Auto => "auto",
-            Substrate::Rtree => "rtree",
-            Substrate::TbTree => "tbtree",
-            Substrate::StrTree => "strtree",
-            Substrate::Metric => "metric",
-        }
-    }
-}
-
 /// Options shared by every query flavour: result count, time window,
 /// per-query deadline, and cross-shard bound sharing.
 ///
@@ -109,12 +50,6 @@ pub struct QueryOptions {
     /// client's last acked write, say). `None` (the default) means any
     /// current state is acceptable.
     pub min_lsn: Option<u64>,
-    /// Which index substrate the query must run against.
-    /// [`Substrate::Auto`] (the default) accepts whatever the database
-    /// hosts; an explicit selector makes a mismatched database refuse the
-    /// query with a typed error instead of answering from the wrong
-    /// structure.
-    pub substrate: Substrate,
 }
 
 impl Default for QueryOptions {
@@ -125,7 +60,6 @@ impl Default for QueryOptions {
             deadline_us: None,
             share_bound: true,
             min_lsn: None,
-            substrate: Substrate::Auto,
         }
     }
 }
@@ -181,12 +115,6 @@ impl QueryOptions {
         self
     }
 
-    /// Selects the index substrate the query must run against.
-    pub fn substrate(mut self, substrate: Substrate) -> Self {
-        self.substrate = substrate;
-        self
-    }
-
     /// The canonical identity of these options for caching and
     /// cross-connection deduplication: two option sets with the same key
     /// describe the same *answer*, so an answer computed for one may be
@@ -209,11 +137,7 @@ impl QueryOptions {
     ///   windows hash equal;
     /// * `share_bound` is included — it changes execution, and an
     ///   execution-coalescing dedup must not merge a sharing query with
-    ///   an isolation ablation;
-    /// * the **substrate selector is included** — different substrates may
-    ///   legitimately produce differently-profiled (and, for `Auto` vs an
-    ///   explicit selector, differently-admitted) executions, so a cached
-    ///   answer must never cross a substrate boundary.
+    ///   an isolation ablation.
     pub fn canonical_key(&self) -> OptionsKey {
         OptionsKey {
             k: u64::try_from(self.k).unwrap_or(u64::MAX),
@@ -221,7 +145,6 @@ impl QueryOptions {
                 .period
                 .map(|p| (canonical_f64_bits(p.start()), canonical_f64_bits(p.end()))),
             share_bound: self.share_bound,
-            substrate: self.substrate,
         }
     }
 }
@@ -254,8 +177,6 @@ pub struct OptionsKey {
     pub period_bits: Option<(u64, u64)>,
     /// Whether cross-shard bound sharing is on.
     pub share_bound: bool,
-    /// The substrate selector the query carried.
-    pub substrate: Substrate,
 }
 
 impl OptionsKey {
@@ -272,7 +193,6 @@ impl OptionsKey {
             None => out.push(0),
         }
         out.push(u8::from(self.share_bound));
-        out.push(self.substrate.tag());
     }
 }
 
@@ -318,29 +238,6 @@ mod tests {
         // Different sharing policy, different key (different execution).
         let d = QueryOptions::new().k(5).during(&w).share_bound(false);
         assert_ne!(a.canonical_key(), d.canonical_key());
-        // Different substrate, different key (answers must not cross).
-        let e = QueryOptions::new()
-            .k(5)
-            .during(&w)
-            .substrate(Substrate::Metric);
-        assert_ne!(a.canonical_key(), e.canonical_key());
-    }
-
-    #[test]
-    fn substrate_tags_round_trip_and_stay_stable() {
-        let all = [
-            Substrate::Auto,
-            Substrate::Rtree,
-            Substrate::TbTree,
-            Substrate::StrTree,
-            Substrate::Metric,
-        ];
-        for (i, s) in all.iter().enumerate() {
-            assert_eq!(s.tag() as usize, i);
-            assert_eq!(Substrate::from_tag(s.tag()), Some(*s));
-        }
-        assert_eq!(Substrate::from_tag(5), None);
-        assert_eq!(Substrate::default(), Substrate::Auto);
     }
 
     #[test]
@@ -395,12 +292,6 @@ mod tests {
             QueryOptions::new().k(2).canonical_key(),
             QueryOptions::new().during(&w).canonical_key(),
             QueryOptions::new().share_bound(false).canonical_key(),
-            QueryOptions::new()
-                .substrate(Substrate::Metric)
-                .canonical_key(),
-            QueryOptions::new()
-                .substrate(Substrate::Rtree)
-                .canonical_key(),
         ];
         let mut encodings: Vec<Vec<u8>> = Vec::new();
         for key in &keys {

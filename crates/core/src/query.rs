@@ -53,8 +53,7 @@ use crate::bfmst::MstConfig;
 use crate::dissim::Integration;
 use crate::metrics::{NoopSink, QueryMetrics, QueryProfile};
 use crate::nn::NnMatch;
-use crate::options::{QueryOptions, Substrate};
-use crate::substrate::KmstSubstrate;
+use crate::options::QueryOptions;
 use crate::time_relaxed::{TimeRelaxedConfig, TimeRelaxedMatch};
 use crate::{MovingObjectDatabase, MstMatch, Result, SearchError};
 
@@ -152,17 +151,6 @@ impl<'a> KmstQuery<'a> {
         self
     }
 
-    /// Pins the index substrate the query must run on (default
-    /// [`Substrate::Auto`]: whatever the database is backed by). Running
-    /// against a database backed by a different substrate is a
-    /// [`SearchError::SubstrateMismatch`] — the knob exists so batch specs
-    /// and wire requests can demand reproducible execution on a specific
-    /// structure, and so caches never alias answers across substrates.
-    pub fn substrate(mut self, substrate: Substrate) -> Self {
-        self.options = self.options.substrate(substrate);
-        self
-    }
-
     /// Replaces the shared options wholesale (escape hatch for options that
     /// arrived pre-assembled, e.g. decoded from the wire). `options.k`
     /// overrides any earlier [`KmstQuery::k`].
@@ -254,23 +242,16 @@ impl<'a> KmstQuery<'a> {
 
     /// Runs the query with observability: search events are fed into
     /// `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
+    pub fn run_traced<I: TrajectoryIndexWrite, M: QueryMetrics>(
         &self,
         db: &mut MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<MstMatch>> {
-        let requested = self.options.substrate;
-        if requested != Substrate::Auto && requested != I::KIND {
-            return Err(SearchError::SubstrateMismatch {
-                requested,
-                actual: I::KIND,
-            });
-        }
         db.run_kmst(self.query, &self.resolved_period(), &self.config, metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
+    pub fn run<I: TrajectoryIndexWrite>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<Vec<MstMatch>> {
@@ -279,7 +260,7 @@ impl<'a> KmstQuery<'a> {
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of everything the search did.
-    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
+    pub fn profile<I: TrajectoryIndexWrite>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<(Vec<MstMatch>, QueryProfile)> {

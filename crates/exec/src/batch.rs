@@ -23,8 +23,8 @@
 //! (how much each shard prunes), never *answers*; the work shows up in
 //! the merged [`QueryProfile`] instead.
 
-use mst_index::{KnnMatch, LeafEntry};
-use mst_search::{BoundShare, KmstSubstrate, MstMatch, NnMatch, QueryProfile};
+use mst_index::{KnnMatch, LeafEntry, TrajectoryIndex};
+use mst_search::{BoundShare, MstMatch, NnMatch, QueryProfile};
 
 use crate::bound::QueryControl;
 use crate::clock::Stopwatch;
@@ -226,7 +226,7 @@ pub(crate) enum JobResult {
 /// search; segments and range queries have no internal poll points, so an
 /// already-expired deadline skips the shard with an empty (degraded)
 /// contribution.
-pub(crate) fn run_shard_job<I: KmstSubstrate>(
+pub(crate) fn run_shard_job<I: TrajectoryIndex>(
     shard: &Shard<I>,
     query: &BatchQuery,
     control: &QueryControl,
@@ -374,7 +374,7 @@ impl BatchExecutor {
         db: std::sync::Arc<ShardedDatabase<I>>,
     ) -> crate::Result<crate::ExecHandle<I>>
     where
-        I: KmstSubstrate + Send + 'static,
+        I: TrajectoryIndex + Send + 'static,
     {
         let capacity = if self.queue_capacity == 0 {
             self.workers * 2
@@ -393,7 +393,7 @@ impl BatchExecutor {
     /// each query's shard answers once all its jobs finish.
     pub fn run<I>(&self, db: &ShardedDatabase<I>, queries: Vec<BatchQuery>) -> BatchOutcome
     where
-        I: KmstSubstrate + Send,
+        I: TrajectoryIndex + Send,
     {
         let num_shards = db.num_shards();
         let num_queries = queries.len();

@@ -81,7 +81,7 @@ impl SharedBound {
 ///
 /// This is the executor's implementation of [`BoundShare`]; a reference to
 /// it is threaded into the per-shard searches
-/// ([`mst_search::KmstSubstrate::kmst_search`] /
+/// ([`mst_search::bfmst_search`] /
 /// [`mst_search::nearest_trajectories`]).
 #[derive(Debug)]
 pub struct QueryControl {

@@ -12,7 +12,7 @@
 //! into the global answer ([`mst_search::merge_shard_matches`]).
 //!
 //! Each shard owns a complete vertical slice: its own index (3D R-tree,
-//! TB-tree, or metric tree) with its own private LRU buffer pool, and its own
+//! TB-tree or STR-tree) with its own private LRU buffer pool, and its own
 //! [`TrajectoryStore`] snapshot. Shards share nothing mutable, so P shards
 //! scale page caching and index traversal independently; within a shard,
 //! concurrent jobs serialize on node fetches through
@@ -44,12 +44,12 @@
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use mst_index::{
-    knn_segments_traced, ConcurrentIndex, IndexError, KnnMatch, LeafEntry, MetricTree, Rtree3D,
-    TbTree, TrajectoryIndex, TrajectoryIndexWrite,
+    knn_segments_traced, ConcurrentIndex, IndexError, KnnMatch, LeafEntry, Rtree3D, TbTree,
+    TrajectoryIndex, TrajectoryIndexWrite,
 };
 use mst_search::{
-    nearest_trajectories, BoundShare, KmstSpec, KmstSubstrate, KnnSpec, NnOutcome, QueryMetrics,
-    QueryOptions, RangeSpec, SearchError, SearchReport, SegmentsSpec, Substrate, TrajectoryStore,
+    bfmst_search, nearest_trajectories, BoundShare, KmstSpec, KnnSpec, NnOutcome, QueryMetrics,
+    RangeSpec, SearchReport, SegmentsSpec, TrajectoryStore,
 };
 use mst_trajectory::{Trajectory, TrajectoryId};
 
@@ -111,27 +111,30 @@ impl<I: TrajectoryIndex> Shard<I> {
         let mut reader = self.index.reader();
         Ok(reader.range_query_traced(&spec.window, metrics)?)
     }
-}
 
-impl<I: KmstSubstrate> Shard<I> {
-    /// Runs one k-MST query against this shard, folding `share` into the
-    /// pruning threshold (and publishing local kth improvements back).
-    /// The substrate's own search runs — BFMST descent on MBB substrates,
-    /// the ball search on the metric tree (under the whole-query shard
-    /// lock, see [`mst_search::KmstSubstrate::EXCLUSIVE_SEARCH`]).
+    /// Runs one k-MST query (BFMST) against this shard, folding `share`
+    /// into the pruning threshold (and publishing local kth improvements
+    /// back).
     pub fn run_kmst<B: BoundShare, M: QueryMetrics>(
         &self,
         spec: &KmstSpec,
         share: &B,
         metrics: &mut M,
     ) -> mst_search::Result<SearchReport> {
-        check_substrate::<I>(&spec.options)?;
         // Lock order: store read lock first, index (inside the reader's
         // node fetches) second — same order as the ingest writer.
         let store = self.store();
         let mut reader = self.index.reader();
         let period = spec.period();
-        reader.kmst_search(&store, &spec.query, &period, &spec.config, share, metrics)
+        bfmst_search(
+            &mut reader,
+            &store,
+            &spec.query,
+            &period,
+            &spec.config,
+            share,
+            metrics,
+        )
     }
 
     /// Runs one trajectory-kNN query against this shard.
@@ -141,25 +144,11 @@ impl<I: KmstSubstrate> Shard<I> {
         share: &B,
         metrics: &mut M,
     ) -> mst_search::Result<NnOutcome> {
-        check_substrate::<I>(&spec.options)?;
         let _store = self.store();
         let mut reader = self.index.reader();
         let period = spec.period();
         nearest_trajectories(&mut reader, &spec.query, &period, spec.k(), share, metrics)
     }
-}
-
-/// Validates a query's pinned [`Substrate`] against the shard's actual
-/// substrate. `Auto` always passes; any explicit pin must match.
-fn check_substrate<I: KmstSubstrate>(options: &QueryOptions) -> mst_search::Result<()> {
-    let requested = options.substrate;
-    if requested != Substrate::Auto && requested != I::KIND {
-        return Err(SearchError::SubstrateMismatch {
-            requested,
-            actual: I::KIND,
-        });
-    }
-    Ok(())
 }
 
 /// A trajectory database partitioned across P shards, each with its own
@@ -202,19 +191,6 @@ impl ShardedDatabase<TbTree> {
         trajectories: impl IntoIterator<Item = (TrajectoryId, Trajectory)>,
     ) -> Result<Self> {
         ShardedDatabase::build(num_shards, TbTree::new, trajectories)
-    }
-}
-
-impl ShardedDatabase<MetricTree> {
-    /// Partitions `trajectories` across `num_shards` metric trees. k-MST
-    /// queries then run the ball search with triangle-inequality pruning
-    /// on each shard; kNN, range, and point-kNN queries use the metric
-    /// tree's MBB page directory like any other substrate.
-    pub fn with_metric(
-        num_shards: usize,
-        trajectories: impl IntoIterator<Item = (TrajectoryId, Trajectory)>,
-    ) -> Result<Self> {
-        ShardedDatabase::build(num_shards, MetricTree::new, trajectories)
     }
 }
 
@@ -455,15 +431,6 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
     /// The shard an object is routed to.
     pub fn shard_of(&self, id: TrajectoryId) -> usize {
         shard_index(id, self.shards.len())
-    }
-
-    /// The substrate every shard of this database runs on — what query
-    /// options that pin a [`Substrate`] are validated against.
-    pub fn substrate(&self) -> Substrate
-    where
-        I: KmstSubstrate,
-    {
-        I::KIND
     }
 
     /// The shards, in routing order.

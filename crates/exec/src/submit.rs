@@ -27,7 +27,8 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-use mst_search::{KmstSubstrate, QueryProfile};
+use mst_index::TrajectoryIndex;
+use mst_search::QueryProfile;
 
 use crate::batch::{run_shard_job, QueryOutcome, ShardFailure, ShardLists};
 use crate::bound::QueryControl;
@@ -175,7 +176,7 @@ pub struct ExecHandle<I> {
 
 impl<I> ExecHandle<I>
 where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     /// Spawns `workers` pool threads over `db` with a `queue_capacity`
     /// admission bound. Called through
@@ -362,7 +363,7 @@ impl<I> Drop for ExecHandle<I> {
 
 /// Runs one admitted query: all shards in sequence on this worker, merged
 /// with the exact machinery the batch path uses.
-fn run_submitted<I: KmstSubstrate>(db: &ShardedDatabase<I>, job: SubmitJob) {
+fn run_submitted<I: TrajectoryIndex>(db: &ShardedDatabase<I>, job: SubmitJob) {
     let mut profile = QueryProfile::default();
     let mut lists = ShardLists::new();
     let mut failures: Vec<ShardFailure> = Vec::new();

@@ -4,7 +4,7 @@
 
 use mst_exec::{BatchExecutor, BatchQuery, QueryAnswer, ShardedDatabase};
 use mst_index::{FaultConfig, TrajectoryIndex, TrajectoryIndexWrite};
-use mst_search::{KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch, Query};
+use mst_search::{MovingObjectDatabase, MstMatch, NnMatch, Query};
 use mst_trajectory::{SamplePoint, TimeInterval, Trajectory, TrajectoryId};
 
 /// A deterministic little fleet: even ids cluster near the origin lane,
@@ -33,7 +33,7 @@ fn fleet(n: u64, points: usize) -> Vec<(TrajectoryId, Trajectory)> {
         .collect()
 }
 
-fn baseline_db<I: TrajectoryIndexWrite + KmstSubstrate>(
+fn baseline_db<I: TrajectoryIndexWrite>(
     make: impl FnOnce() -> MovingObjectDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
 ) -> MovingObjectDatabase<I> {
@@ -64,7 +64,7 @@ fn batch_for(fleet: &[(TrajectoryId, Trajectory)], period: &TimeInterval) -> Vec
     batch
 }
 
-fn baseline_answers<I: TrajectoryIndexWrite + KmstSubstrate>(
+fn baseline_answers<I: TrajectoryIndexWrite>(
     db: &mut MovingObjectDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
     period: &TimeInterval,
@@ -167,7 +167,7 @@ fn batch_execution_is_deterministic_across_workers_and_shards() {
     }
 }
 
-fn check_against_baseline<I: TrajectoryIndex + Send + KmstSubstrate>(
+fn check_against_baseline<I: TrajectoryIndex + Send>(
     db: &ShardedDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
     period: &TimeInterval,

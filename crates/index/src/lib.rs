@@ -21,7 +21,7 @@
 //!   trajectory and a node MBB over their temporal overlap, following
 //!   Frentzos et al.'s nearest-neighbour work that the paper builds on;
 //! * [`TrajectoryIndex`] — the read interface the search algorithm consumes,
-//!   implemented by both trees.
+//!   implemented by every tree.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -31,7 +31,6 @@ pub mod checksum;
 mod codec;
 pub mod fault;
 pub mod knn;
-pub mod metric;
 pub mod metrics;
 pub mod mindist;
 mod node;
@@ -47,7 +46,6 @@ mod validate;
 pub use buffer::{BufferPool, BufferStats, LruCache};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultableStore, PageIo};
 pub use knn::{knn_segments, knn_segments_traced, KnnMatch};
-pub use metric::{BallKind, BallNode, MetricTree};
 pub use metrics::{MetricsSink, NoopSink, SharedSink};
 pub use node::{InternalEntry, LeafEntry, Node, INTERNAL_CAPACITY, LEAF_CAPACITY};
 pub use pagestore::{DiskStats, PageId, PageStore, PAGE_SIZE};

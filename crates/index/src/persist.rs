@@ -44,8 +44,6 @@ pub enum ImageKind {
     TbTree,
     /// An STR-tree image.
     StrTree,
-    /// A metric-tree image.
-    MetricTree,
 }
 
 /// Everything needed to reconstruct a tree (internal representation shared
@@ -77,7 +75,6 @@ impl Image {
             ImageKind::Rtree3D => 0,
             ImageKind::TbTree => 1,
             ImageKind::StrTree => 2,
-            ImageKind::MetricTree => 3,
         });
         header.extend_from_slice(&self.lsn.to_le_bytes());
         header.extend_from_slice(&self.root.unwrap_or(PageId::NONE).0.to_le_bytes());
@@ -116,7 +113,6 @@ impl Image {
             0 => ImageKind::Rtree3D,
             1 => ImageKind::TbTree,
             2 => ImageKind::StrTree,
-            3 => ImageKind::MetricTree,
             other => {
                 return Err(IndexError::Persist(format!("unknown tree kind {other}")));
             }
@@ -425,6 +421,22 @@ mod roundtrip_tests {
         rtree.save(&mut bytes).unwrap();
         assert!(TbTree::load(&bytes[..]).is_err());
         assert!(Rtree3D::load(&bytes[..]).is_ok());
+
+        // Kind tag 3 named a tree kind this crate no longer builds: an
+        // image carrying it is refused by every loader, not misparsed.
+        let mut retired = bytes.clone();
+        retired[8] = 3;
+        let refused = [
+            Rtree3D::load(&retired[..]).err(),
+            TbTree::load(&retired[..]).err(),
+            StrTree::load(&retired[..]).err(),
+        ];
+        for err in refused {
+            assert!(
+                matches!(err, Some(crate::IndexError::Persist(_))),
+                "kind 3 must be a Persist error, got {err:?}"
+            );
+        }
     }
 
     /// Truncating a saved image at any depth — inside the header, inside

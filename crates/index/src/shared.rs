@@ -216,23 +216,6 @@ impl<I> IndexReader<'_, I> {
     }
 }
 
-impl<I: TrajectoryIndex> IndexReader<'_, I> {
-    /// Runs `f` with exclusive access to the underlying index, holding the
-    /// shard lock for the whole call instead of per node fetch.
-    ///
-    /// Substrates whose search needs the concrete index — the metric
-    /// tree's ball search reads the ball directory and cached trajectories,
-    /// which the node-at-a-time [`TrajectoryIndex`] surface cannot carry —
-    /// run their whole per-shard search under this lock. Jobs on *other*
-    /// shards are unaffected (per-shard locks); jobs on the same shard
-    /// serialize, which matches the executor's one-job-per-shard dispatch.
-    /// A poisoned shard surfaces as [`IndexError::Poisoned`] (rule R7).
-    pub fn with_exclusive<R>(&mut self, f: impl FnOnce(&mut I) -> R) -> Result<R> {
-        let mut guard = self.shared.lock()?;
-        Ok(f(&mut guard))
-    }
-}
-
 impl<I: TrajectoryIndex> TrajectoryIndex for IndexReader<'_, I> {
     fn root(&self) -> Option<PageId> {
         self.snapshot.root

@@ -54,7 +54,7 @@ use std::time::Duration; // invariant: no clock is read; determinism holds
 use mst_exec::{
     BatchQuery, IngestOp, OutcomeSink, QueryAnswer, QueryOutcome, RoutedQuery, SubmitError,
 };
-use mst_search::KmstSubstrate;
+use mst_index::TrajectoryIndex;
 use mst_search::QueryProfile;
 use mst_trajectory::Trajectory;
 
@@ -181,7 +181,7 @@ pub(crate) fn accept_loop<I>(
     workers: &[Sender<WorkerMsg>],
     cfg: &MuxConfig,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     let mut next_worker = 0usize;
     while !shared.shutting_down.load(Ordering::SeqCst) {
@@ -358,7 +358,7 @@ pub(crate) fn io_worker_loop<I>(
     events: &Sender<Event>,
     max_depth: u16,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn_id = 0u64;
@@ -544,7 +544,7 @@ fn parse_frames<I>(
     shared: &Shared<I>,
     events: &Sender<Event>,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     loop {
         if conn.dead || conn.close_after_flush {
@@ -970,7 +970,7 @@ pub(crate) fn coalescer_loop<I>(
     queue_capacity: usize,
     mut ingest: Option<Box<dyn IngestBackend>>,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     let sink: Arc<dyn OutcomeSink> = Arc::new(EventSink(sink_tx));
     let mut pending: HashMap<u64, PendingExec> = HashMap::new();
@@ -1134,7 +1134,7 @@ fn flush_write_batch<I>(
     write_batch: &mut Vec<(usize, u64, u64, IngestOp)>,
     outstanding: &mut usize,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     if write_batch.is_empty() {
         return;
@@ -1238,7 +1238,7 @@ fn serve_replication<I>(
     repl_batch: &mut Vec<(usize, u64, u64, u64, bool)>,
     outstanding: &mut usize,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     if repl_batch.is_empty() {
         return;
@@ -1327,7 +1327,7 @@ fn handle_event<I>(
     drained_workers: &mut usize,
     queue_capacity: usize,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     match event {
         Event::Query {
@@ -1469,7 +1469,7 @@ fn submit_backlog<I>(
     backlog: &mut VecDeque<u64>,
     outstanding: &mut usize,
 ) where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     if backlog.is_empty() {
         return;

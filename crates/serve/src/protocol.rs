@@ -9,8 +9,9 @@
 //! [payload_len: u32 le] [opcode: u8] [body: payload_len - 1 bytes]
 //! ```
 //!
-//! Protocol **v2** (current) adds a request id so a connection can keep
-//! many requests in flight and receive answers out of order:
+//! Protocol **v2** framing (current; the hello negotiates protocol
+//! [`VERSION`] 3 over it) adds a request id so a connection can keep many
+//! requests in flight and receive answers out of order:
 //!
 //! ```text
 //! [frame_len: u32 le] [request_id: u64 le] [opcode: u8] [body]
@@ -68,7 +69,7 @@
 //! connection.
 
 use mst_index::{KnnMatch, LeafEntry};
-use mst_search::{MstMatch, NnMatch, QueryOptions, Substrate};
+use mst_search::{MstMatch, NnMatch, QueryOptions};
 use mst_trajectory::{Mbb, Point, SamplePoint, Segment, TimeInterval, TrajectoryId};
 
 /// Hard cap on a frame's payload (opcode + body): 4 MiB.
@@ -79,8 +80,13 @@ pub const MAX_FRAME: u32 = 4 << 20;
 /// from v1 traffic and from random bytes hitting the port.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MST2");
 
-/// The protocol version this build speaks.
-pub const VERSION: u16 = 2;
+/// The protocol version this build speaks, negotiated by the
+/// [`Request::Hello`] handshake. Version 3 dropped the trailing index-kind
+/// tag byte from the query options, so every field after it in a query
+/// frame moved; a peer offering only version 2 is refused with
+/// [`ErrorCode::UnsupportedVersion`] instead of being parsed one byte off.
+/// The frame layout itself is unchanged ("v2 framing").
+pub const VERSION: u16 = 3;
 
 /// Bytes a v2 frame spends on its request id, on top of the payload.
 const V2_OVERHEAD: u32 = 8;
@@ -274,7 +280,6 @@ fn put_options(out: &mut Vec<u8>, opts: &QueryOptions) {
         }
         None => out.push(0),
     }
-    out.push(opts.substrate.tag());
 }
 
 fn try_options(cur: &mut Cursor<'_>) -> Result<QueryOptions, WireError> {
@@ -307,8 +312,6 @@ fn try_options(cur: &mut Cursor<'_>) -> Result<QueryOptions, WireError> {
         1 => Some(cur.try_u64()?),
         _ => return Err(WireError::BadPayload("min_lsn flag")),
     };
-    opts.substrate =
-        Substrate::from_tag(cur.try_u8()?).ok_or(WireError::BadPayload("substrate tag"))?;
     Ok(opts)
 }
 
@@ -1422,8 +1425,8 @@ mod tests {
                 options: opts().min_lsn(88),
             },
             Request::Hello {
-                min_version: 2,
-                max_version: 2,
+                min_version: 3,
+                max_version: 3,
                 depth: 32,
             },
         ];
@@ -1497,7 +1500,7 @@ mod tests {
                 applied: false,
             },
             Response::HelloAck {
-                version: 2,
+                version: 3,
                 depth: 16,
             },
             Response::Overloaded {
@@ -1509,8 +1512,8 @@ mod tests {
                 message: "a one-point trajectory has no segments".into(),
             },
             Response::Error {
-                code: ErrorCode::UnsupportedVersion { min: 2, max: 2 },
-                message: "this server speaks protocol v2 only".into(),
+                code: ErrorCode::UnsupportedVersion { min: 3, max: 3 },
+                message: "this server speaks protocol v3 only".into(),
             },
             Response::Error {
                 code: ErrorCode::ReadOnly,
@@ -1842,8 +1845,8 @@ mod tests {
     fn first_frames_classify_v2_hello_v1_request_and_garbage() {
         // A v2 hello as it appears after the length prefix.
         let hello = Request::Hello {
-            min_version: 2,
-            max_version: 2,
+            min_version: 3,
+            max_version: 3,
             depth: 4,
         };
         let mut framed = Vec::new();

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mst_exec::{BatchExecutor, BatchQuery, ExecHandle, ShardedDatabase};
-use mst_search::KmstSubstrate;
+use mst_index::TrajectoryIndex;
 use mst_search::{Query, QueryProfile};
 use mst_trajectory::Trajectory;
 
@@ -368,7 +368,7 @@ impl Server {
         db: Arc<ShardedDatabase<I>>,
     ) -> Result<ServerHandle<I>, ServeError>
     where
-        I: KmstSubstrate + Send + 'static,
+        I: TrajectoryIndex + Send + 'static,
     {
         start_inner(config, db, None, false, 0)
     }
@@ -469,7 +469,7 @@ fn start_inner<I>(
     visible_lsn: u64,
 ) -> Result<ServerHandle<I>, ServeError>
 where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     {
         let queue_capacity = config.resolved_queue_capacity();
@@ -597,7 +597,7 @@ pub struct ServerHandle<I> {
 
 impl<I> ServerHandle<I>
 where
-    I: KmstSubstrate + Send + 'static,
+    I: TrajectoryIndex + Send + 'static,
 {
     /// The bound address (ephemeral port resolved).
     pub fn local_addr(&self) -> SocketAddr {

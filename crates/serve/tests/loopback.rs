@@ -392,8 +392,8 @@ fn v1_clients_get_a_typed_version_error_in_their_own_framing() {
         .expect("a typed answer, not silence");
     match Response::decode(&payload).expect("decode v1 frame") {
         Response::Error { code, message } => {
-            assert_eq!(code, ErrorCode::UnsupportedVersion { min: 2, max: 2 });
-            assert!(message.contains("v2"), "tells the client what to speak");
+            assert_eq!(code, ErrorCode::UnsupportedVersion { min: 3, max: 3 });
+            assert!(message.contains("v3"), "tells the client what to speak");
         }
         other => panic!("expected Error, got {other:?}"),
     }
@@ -404,29 +404,34 @@ fn v1_clients_get_a_typed_version_error_in_their_own_framing() {
     ));
 
     // A v2 hello offering only versions the server does not speak gets a
-    // v2-framed UnsupportedVersion at request id 0.
-    let mut stale = std::net::TcpStream::connect(addr).expect("connect");
-    let hello = Request::Hello {
-        min_version: 1,
-        max_version: 1,
-        depth: 4,
-    };
-    mst_serve::protocol::write_frame_v2(&mut stale, 0, &hello.encode()).expect("v2 hello");
-    let (id, payload) = mst_serve::protocol::read_frame_v2(&mut stale)
-        .expect("read error frame")
-        .expect("a typed answer, not silence");
-    assert_eq!(id, 0);
-    match Response::decode(&payload).expect("decode v2 frame") {
-        Response::Error { code, .. } => {
-            assert_eq!(
-                code,
-                ErrorCode::UnsupportedVersion {
-                    min: VERSION,
-                    max: VERSION
-                }
-            );
+    // v2-framed UnsupportedVersion at request id 0. Version 2 peers are
+    // among them: their query options carry one more byte than this
+    // build parses.
+    for offered in [1u16, 2] {
+        let mut stale = std::net::TcpStream::connect(addr).expect("connect");
+        let hello = Request::Hello {
+            min_version: offered,
+            max_version: offered,
+            depth: 4,
+        };
+        mst_serve::protocol::write_frame_v2(&mut stale, 0, &hello.encode()).expect("v2 hello");
+        let (id, payload) = mst_serve::protocol::read_frame_v2(&mut stale)
+            .expect("read error frame")
+            .expect("a typed answer, not silence");
+        assert_eq!(id, 0);
+        match Response::decode(&payload).expect("decode v2 frame") {
+            Response::Error { code, .. } => {
+                assert_eq!(
+                    code,
+                    ErrorCode::UnsupportedVersion {
+                        min: VERSION,
+                        max: VERSION
+                    },
+                    "offered v{offered}"
+                );
+            }
+            other => panic!("offered v{offered}: expected Error, got {other:?}"),
         }
-        other => panic!("expected Error, got {other:?}"),
     }
 
     // The v1 rejection is not a malformed frame — it's a well-formed

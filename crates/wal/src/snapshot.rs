@@ -26,8 +26,8 @@ use std::io::{Read, Write};
 
 use mst_exec::ShardedDatabase;
 use mst_index::checksum::fold_bytes;
-use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
-use mst_search::{KmstSubstrate, TrajectoryStore};
+use mst_index::{Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
+use mst_search::TrajectoryStore;
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryId};
 
 use crate::record::Cursor;
@@ -36,10 +36,7 @@ use crate::{Result, WalError};
 const MAGIC: &[u8; 8] = b"MSTWALSS";
 
 /// An index substrate the durable store can checkpoint and recover.
-pub trait DurableSubstrate: TrajectoryIndexWrite + KmstSubstrate + Sized {
-    /// Substrate name, for error messages and bench labels.
-    const NAME: &'static str;
-
+pub trait DurableSubstrate: TrajectoryIndexWrite + Sized {
     /// Whether [`TrajectoryIndexWrite::delete_entry`] works. Checked
     /// before a delete is logged: a substrate that cannot delete must
     /// never be asked to replay one.
@@ -56,7 +53,6 @@ pub trait DurableSubstrate: TrajectoryIndexWrite + KmstSubstrate + Sized {
 }
 
 impl DurableSubstrate for Rtree3D {
-    const NAME: &'static str = "rtree";
     const SUPPORTS_DELETE: bool = true;
 
     fn fresh() -> Self {
@@ -73,7 +69,6 @@ impl DurableSubstrate for Rtree3D {
 }
 
 impl DurableSubstrate for TbTree {
-    const NAME: &'static str = "tbtree";
     const SUPPORTS_DELETE: bool = false;
 
     fn fresh() -> Self {
@@ -90,7 +85,6 @@ impl DurableSubstrate for TbTree {
 }
 
 impl DurableSubstrate for StrTree {
-    const NAME: &'static str = "strtree";
     const SUPPORTS_DELETE: bool = false;
 
     fn fresh() -> Self {
@@ -103,23 +97,6 @@ impl DurableSubstrate for StrTree {
 
     fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)> {
         StrTree::load_lsn(reader)
-    }
-}
-
-impl DurableSubstrate for MetricTree {
-    const NAME: &'static str = "metric";
-    const SUPPORTS_DELETE: bool = false;
-
-    fn fresh() -> Self {
-        MetricTree::new()
-    }
-
-    fn save_image<W: Write>(&mut self, writer: W, lsn: u64) -> mst_index::Result<()> {
-        self.save_lsn(writer, lsn)
-    }
-
-    fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)> {
-        MetricTree::load_lsn(reader)
     }
 }
 

@@ -19,7 +19,7 @@
 
 use mst::exec::{BatchExecutor, BatchQuery, QueryAnswer, ShardedDatabase};
 use mst::index::{FaultConfig, TrajectoryIndex, TrajectoryIndexWrite};
-use mst::search::{KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch, Query};
+use mst::search::{MovingObjectDatabase, MstMatch, NnMatch, Query};
 use mst::trajectory::{SamplePoint, TimeInterval, Trajectory, TrajectoryId};
 
 /// A deterministic fleet: even ids hug an origin lane, odd ids fan out,
@@ -57,7 +57,7 @@ fn batch_for(fleet: &[(TrajectoryId, Trajectory)], period: &TimeInterval) -> Vec
 
 /// The certified answers, straight from the paper-faithful single-index
 /// [`Query::run`] path on an unsharded database.
-fn baseline<I: TrajectoryIndexWrite + KmstSubstrate>(
+fn baseline<I: TrajectoryIndexWrite>(
     mut db: MovingObjectDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
     period: &TimeInterval,
@@ -136,7 +136,7 @@ fn arm_all<I: TrajectoryIndex>(db: &ShardedDatabase<I>, config: FaultConfig) {
 
 /// One sweep point: run the batch under `config` and check the honesty
 /// contract. Returns how many queries were degraded.
-fn run_case<I: TrajectoryIndex + Send + KmstSubstrate>(
+fn run_case<I: TrajectoryIndex + Send>(
     db: &ShardedDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
     period: &TimeInterval,

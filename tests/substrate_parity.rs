@@ -1,14 +1,13 @@
-//! Cross-substrate parity: the metric tree's exact DISSIM k-MST must be
-//! bit-identical to the linear-scan ground truth and to the R-tree BFMST
-//! answer — on both seeded datasets (Trucks-like and GSTD synthetic),
-//! through the single-index `Query` builder and through the sharded
-//! batch executor across 1/4 shards x 1/8 workers.
+//! Cross-index parity: BFMST over every MBB tree must be bit-identical to
+//! the linear-scan ground truth on both seeded datasets (Trucks-like and
+//! GSTD synthetic) — the R-tree, TB-tree and STR-tree through the
+//! single-index `Query` builder, and the R-tree and TB-tree through the
+//! sharded batch executor across 1/4 shards x 1/8 workers.
 
 use mst::datagen::{GstdConfig, TrucksConfig};
 use mst::exec::{BatchExecutor, BatchQuery, ShardedDatabase};
-use mst::search::{
-    scan_kmst, Integration, MovingObjectDatabase, MstMatch, Query, Substrate, TrajectoryStore,
-};
+use mst::index::{Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
+use mst::search::{scan_kmst, Integration, MovingObjectDatabase, MstMatch, Query, TrajectoryStore};
 use mst::trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 fn trucks_store() -> TrajectoryStore {
@@ -65,60 +64,47 @@ fn ground_truth(
         .collect()
 }
 
-/// Single-index parity on one dataset: scan == metric tree == R-tree,
+/// Single-index parity on one dataset and one index kind: scan == BFMST,
 /// bit for bit, through the `Query` builder.
-fn check_single_index(name: &str, store: &TrajectoryStore) {
+fn check_single_index<I: TrajectoryIndexWrite>(name: &str, store: &TrajectoryStore, index: I) {
     let wl = workload(store, 3);
     let truth = ground_truth(store, &wl);
 
-    let mut metric = MovingObjectDatabase::with_metric();
-    let mut rtree = MovingObjectDatabase::with_rtree();
+    let mut db = MovingObjectDatabase::new(index);
     for (id, t) in store.iter() {
-        metric.insert_trajectory(id, t).expect("metric insert");
-        rtree.insert_trajectory(id, t).expect("rtree insert");
+        db.insert_trajectory(id, t).expect("insert");
     }
 
     for (i, (q, period, k)) in wl.iter().enumerate() {
-        let m = Query::kmst(q)
+        let got = Query::kmst(q)
             .k(*k)
             .during(period)
-            .substrate(Substrate::Metric)
-            .run(&mut metric)
-            .expect("metric query");
-        let r = Query::kmst(q)
-            .k(*k)
-            .during(period)
-            .substrate(Substrate::Rtree)
-            .run(&mut rtree)
-            .expect("rtree query");
-        assert_eq!(bits(&m), truth[i], "{name} q{i}: metric vs scan");
-        assert_eq!(bits(&r), truth[i], "{name} q{i}: rtree vs scan");
+            .run(&mut db)
+            .expect("query");
+        assert_eq!(bits(&got), truth[i], "{name} q{i}: index vs scan");
     }
 }
 
+type Fleet = Vec<(TrajectoryId, Trajectory)>;
+
 /// Sharded parity on one dataset: every shard count x worker count cell
-/// reproduces the scan answer bit-for-bit on the metric substrate.
-fn check_sharded(name: &str, store: &TrajectoryStore) {
+/// reproduces the scan answer bit-for-bit.
+fn check_sharded<I: TrajectoryIndexWrite + Send>(
+    name: &str,
+    store: &TrajectoryStore,
+    build: fn(usize, Fleet) -> mst::exec::Result<ShardedDatabase<I>>,
+) {
     let wl = workload(store, 3);
     let truth = ground_truth(store, &wl);
-    let fleet: Vec<(TrajectoryId, Trajectory)> =
-        store.iter().map(|(id, t)| (id, t.clone())).collect();
+    let fleet: Fleet = store.iter().map(|(id, t)| (id, t.clone())).collect();
 
     for shards in [1usize, 4] {
-        let db = ShardedDatabase::with_metric(shards, fleet.iter().cloned())
-            .expect("sharded metric build");
-        assert_eq!(db.substrate(), Substrate::Metric);
+        let db = build(shards, fleet.clone()).expect("sharded build");
         for workers in [1usize, 8] {
             let batch: Vec<BatchQuery> = wl
                 .iter()
                 .map(|(q, period, k)| {
-                    BatchQuery::kmst(
-                        Query::kmst(q)
-                            .k(*k)
-                            .during(period)
-                            .substrate(Substrate::Metric),
-                    )
-                    .expect("kmst spec")
+                    BatchQuery::kmst(Query::kmst(q).k(*k).during(period)).expect("kmst spec")
                 })
                 .collect();
             let outcome = BatchExecutor::new().workers(workers).run(&db, batch);
@@ -129,59 +115,44 @@ fn check_sharded(name: &str, store: &TrajectoryStore) {
                 assert_eq!(
                     &bits(matches),
                     want,
-                    "{name} s={shards} w={workers} q{i}: metric shard parity"
+                    "{name} s={shards} w={workers} q{i}: shard parity"
                 );
             }
         }
     }
 }
 
-#[test]
-fn metric_tree_matches_scan_and_rtree_on_trucks() {
-    check_single_index("trucks", &trucks_store());
+fn check_every_tree(name: &str, store: &TrajectoryStore) {
+    check_single_index(&format!("{name}/rtree"), store, Rtree3D::new());
+    check_single_index(&format!("{name}/tbtree"), store, TbTree::new());
+    check_single_index(&format!("{name}/strtree"), store, StrTree::new());
+}
+
+fn check_every_sharded_tree(name: &str, store: &TrajectoryStore) {
+    check_sharded(&format!("{name}/rtree"), store, |n, fleet| {
+        ShardedDatabase::with_rtree(n, fleet)
+    });
+    check_sharded(&format!("{name}/tbtree"), store, |n, fleet| {
+        ShardedDatabase::with_tbtree(n, fleet)
+    });
 }
 
 #[test]
-fn metric_tree_matches_scan_and_rtree_on_synthetic() {
-    check_single_index("synthetic", &synthetic_store());
+fn mbb_trees_match_scan_on_trucks() {
+    check_every_tree("trucks", &trucks_store());
 }
 
 #[test]
-fn sharded_metric_tree_matches_scan_on_trucks() {
-    check_sharded("trucks", &trucks_store());
+fn mbb_trees_match_scan_on_synthetic() {
+    check_every_tree("synthetic", &synthetic_store());
 }
 
 #[test]
-fn sharded_metric_tree_matches_scan_on_synthetic() {
-    check_sharded("synthetic", &synthetic_store());
+fn sharded_mbb_trees_match_scan_on_trucks() {
+    check_every_sharded_tree("trucks", &trucks_store());
 }
 
 #[test]
-fn substrate_pin_refuses_the_wrong_index() {
-    let store = synthetic_store();
-    let mut metric = MovingObjectDatabase::with_metric();
-    for (id, t) in store.iter() {
-        metric.insert_trajectory(id, t).expect("insert");
-    }
-    let (q, period, k) = workload(&store, 2).remove(0);
-    // Pinned to the R-tree, a metric-backed database must refuse rather
-    // than silently answer from a different structure.
-    let err = Query::kmst(&q)
-        .k(k)
-        .during(&period)
-        .substrate(Substrate::Rtree)
-        .run(&mut metric)
-        .expect_err("substrate mismatch");
-    let text = err.to_string();
-    assert!(text.contains("substrate"), "{text}");
-    // Auto (the default) runs on whatever the database holds.
-    let auto = Query::kmst(&q)
-        .k(k)
-        .during(&period)
-        .run(&mut metric)
-        .expect("auto substrate");
-    assert_eq!(
-        bits(&auto),
-        ground_truth(&store, &[(q, period, k)]).remove(0)
-    );
+fn sharded_mbb_trees_match_scan_on_synthetic() {
+    check_every_sharded_tree("synthetic", &synthetic_store());
 }
